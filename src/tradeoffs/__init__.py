@@ -36,6 +36,7 @@ from .errors import (
     Infeasible,
     NegativeCapacity,
     NonDifferentiableModel,
+    NonFiniteEmbedding,
     ParseError,
     TradeoffError,
     ZeroNormEmbedding,
@@ -93,6 +94,7 @@ __all__ = [
     "DegeneratePoints",
     "DimensionMismatch",
     "ZeroNormEmbedding",
+    "NonFiniteEmbedding",
     "ParseError",
     "EntryTooLarge",
     # models

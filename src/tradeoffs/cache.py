@@ -9,18 +9,19 @@ of zero is a miss.
 
 Capacity is a byte budget; eviction is LRU over logical ticks that
 advance on every lookup and insert, so recency is well defined without
-wall clocks. All tie-breaks are total orders, which keeps replays
-bit-reproducible.
+wall clocks. Recency is unique among resident entries, so it settles
+every tie on its own, which keeps replays bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EntryTooLarge, ZeroNormEmbedding
+from .errors import DimensionMismatch, EntryTooLarge, NonFiniteEmbedding, ZeroNormEmbedding
 
 __all__ = [
     "RESOLUTIONS",
@@ -57,12 +58,16 @@ def normalize(vec, tol: float = 1e-9) -> np.ndarray:
 
     Vectors already within ``tol`` of unit norm are passed through
     undivided, so normalizing twice is the identity bit-for-bit.
-    Raises :class:`ZeroNormEmbedding` for the zero vector.
+    Raises :class:`ZeroNormEmbedding` for the zero vector and
+    :class:`NonFiniteEmbedding` when the norm is NaN or infinite.
     """
     arr = np.array(vec, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
+    # np.linalg.norm computes exactly this for real 1-d input.
+    norm = math.sqrt(arr.dot(arr))
+    if not math.isfinite(norm):
+        raise NonFiniteEmbedding("embedding has a non-finite norm")
     if norm == 0.0:
         raise ZeroNormEmbedding("cannot normalize the zero vector")
     if abs(norm - 1.0) > tol:
@@ -101,10 +106,6 @@ class ReuseDepthPolicy:
                 return depth
         return 0
 
-    @property
-    def max_depth(self) -> int:
-        return max(d for _, d in self.bands)
-
 
 DEFAULT_POLICY = ReuseDepthPolicy(
     bands=((0.95, 25), (0.90, 20), (0.85, 15), (0.75, 10), (0.65, 5))
@@ -118,14 +119,13 @@ def reuse_depth(similarity: float, policy: ReuseDepthPolicy = DEFAULT_POLICY) ->
 
 @dataclass
 class CacheEntry:
-    """One cached request: its embedding, footprint, and recency state."""
+    """Snapshot of one cached request: embedding, footprint, recency."""
 
     entry_id: int
     embedding: np.ndarray
     resolution: str
     byte_size: int
     stored_depths: tuple[int, ...]
-    created: int
     last_used: int
 
 
@@ -135,7 +135,8 @@ class LookupResult:
 
     ``depth`` > 0 means a hit at that reuse depth. ``similarity`` and
     ``matched_id`` describe the best candidate even when its similarity
-    was too low to count as a hit; both are None on an empty cache.
+    was too low to count as a hit; both are None when no entry was a
+    candidate.
     """
 
     hit: bool
@@ -145,18 +146,50 @@ class LookupResult:
     tick: int
 
 
+class _Partition:
+    """Packed rows of the entries one lookup scores; rows [0, n) are live."""
+
+    COLUMNS = ("emb", "ids", "last_used", "sizes", "res")
+
+    def __init__(self, dim: int):
+        self.n = 0
+        self.emb = np.zeros((64, dim))
+        self.ids, self.last_used, self.sizes = np.zeros((3, 64), dtype=np.int64)
+        self.res = np.zeros(64, dtype=np.int8)  # index into RESOLUTIONS
+
+    def append(self, *values) -> None:
+        """Add a row; ``values`` follow ``COLUMNS``."""
+        row = self.n
+        for name, value in zip(self.COLUMNS, values):
+            arr = getattr(self, name)
+            if row == len(arr):
+                arr = np.resize(arr, (2 * row,) + arr.shape[1:])
+                setattr(self, name, arr)
+            arr[row] = value
+        self.n = row + 1
+
+    def swap_remove(self, row: int) -> None:
+        self.n -= 1
+        for name in self.COLUMNS:
+            arr = getattr(self, name)
+            arr[row] = arr[self.n]
+
+
 class CacheState:
     """Byte-budgeted LRU cache over unit-norm embeddings.
 
-    Candidate scoring is a single matrix-vector product against a
-    packed embedding matrix; evicted rows are swap-removed so the
-    matrix stays contiguous. A logical tick counter advances on every
-    lookup and on every successful insert; the operation is stamped
-    with the pre-advance value, so all ``last_used`` values are unique.
+    The packed arrays are the only state. Entries are split into one
+    partition per resolution when ``match_same_resolution`` is set, and
+    into a single partition otherwise, so a lookup scores its query's
+    partition with one matrix-vector product. Evicted rows are
+    swap-removed so each partition stays contiguous.
 
-    Tie-breaks are exact: among equal similarities the most recently
-    used entry wins, then the lowest entry id; eviction removes the
-    least recently used entry, then the lowest entry id.
+    A logical tick counter advances on every lookup and on every
+    successful insert; the operation is stamped with the pre-advance
+    value. Every tick stamps at most one entry, so ``last_used`` is
+    unique among resident entries: among equal similarities the most
+    recently used entry wins, and eviction removes the least recently
+    used entry across all partitions, with no further tie-break needed.
     """
 
     def __init__(
@@ -180,79 +213,71 @@ class CacheState:
         self.latent_bytes = dict(latent_bytes)
         self.tick = 0
         self.occupied_bytes = 0
-        self.entries: dict[int, CacheEntry] = {}
+        self.evictions = 0
         self._next_id = 0
-        self._n = 0
-        cap0 = 64
-        self._emb = np.zeros((cap0, self.dim), dtype=np.float64)
-        self._ids = np.zeros(cap0, dtype=np.int64)
-        self._last_used = np.zeros(cap0, dtype=np.int64)
-        self._res = np.zeros(cap0, dtype=np.int8)
-        self._byte_sizes = np.zeros(cap0, dtype=np.int64)
-        self._row_of: dict[int, int] = {}
-        self._evicted: list[int] = []
+        if self.match_same_resolution:
+            self._parts = [_Partition(self.dim) for _ in RESOLUTIONS]
+            self._part_of = dict(zip(RESOLUTIONS, self._parts))
+        else:
+            self._parts = [_Partition(self.dim)]
+            self._part_of = dict.fromkeys(RESOLUTIONS, self._parts[0])
 
     def __len__(self) -> int:
-        return self._n
+        return sum(part.n for part in self._parts)
 
-    def _res_code(self, resolution: str) -> int:
+    def _partition(self, resolution: str) -> _Partition:
         try:
-            return RESOLUTIONS.index(resolution)
-        except ValueError:
+            return self._part_of[resolution]
+        except KeyError:
             raise ValueError(f"unknown resolution {resolution!r}") from None
 
     def _check_vec(self, embedding) -> np.ndarray:
         vec = normalize(embedding)
         if vec.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"expected dimension {self.dim}, got {vec.shape[0]}"
-            )
+            raise DimensionMismatch(f"expected dimension {self.dim}, got {vec.shape[0]}")
         return vec
 
     def entry_byte_size(self, resolution: str) -> int:
         """Default footprint: one latent per stored depth."""
-        self._res_code(resolution)
+        self._partition(resolution)
         return len(self.stored_depths) * int(self.latent_bytes[resolution])
+
+    def resident(self) -> dict[int, CacheEntry]:
+        """Snapshots of the resident entries, keyed and ordered by id."""
+        rows = sorted((int(p.ids[r]), p, r) for p in self._parts for r in range(p.n))
+        return {
+            i: CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[p.res[r]], int(p.sizes[r]),
+                          self.stored_depths, int(p.last_used[r]))
+            for i, p, r in rows
+        }
 
     # -- core operations ----------------------------------------------------
 
     def lookup(self, embedding, resolution: str) -> LookupResult:
-        """Score the query against all candidates and grade the best one.
+        """Score the query against its partition and grade the best match.
 
         Always consumes one tick. A hit refreshes the matched entry's
         recency; a below-threshold best match does not.
         """
         vec = self._check_vec(embedding)
-        res_code = self._res_code(resolution)
+        part = self._partition(resolution)
         tick = self.tick
         self.tick += 1
 
-        n = self._n
-        if n == 0:
+        if part.n == 0:
             return LookupResult(False, 0, None, None, tick)
-        if self.match_same_resolution:
-            rows = np.nonzero(self._res[:n] == res_code)[0]
-            if rows.size == 0:
-                return LookupResult(False, 0, None, None, tick)
-            sims = self._emb[rows] @ vec
-        else:
-            rows = np.arange(n)
-            sims = self._emb[:n] @ vec
-
-        best_sim = float(np.max(sims))
-        tied = rows[sims == best_sim]
-        if tied.size > 1:
-            recency = self._last_used[tied]
-            tied = tied[recency == recency.max()]
-            if tied.size > 1:
-                tied = tied[[int(np.argmin(self._ids[tied]))]]
-        row = int(tied[0])
-        matched_id = int(self._ids[row])
+        sims = part.emb[: part.n] @ vec
+        row = int(sims.argmax())
+        ties = sims == sims[row]
+        if np.count_nonzero(ties) > 1:
+            tied = np.flatnonzero(ties)
+            row = int(tied[part.last_used[tied].argmax()])
+        best_sim = float(sims[row])
+        matched_id = int(part.ids[row])
 
         depth = self.policy.depth_for(best_sim)
         if depth > 0:
-            self._last_used[row] = tick
-            self.entries[matched_id].last_used = tick
+            part.last_used[row] = tick
             return LookupResult(True, depth, best_sim, matched_id, tick)
         return LookupResult(False, 0, best_sim, matched_id, tick)
 
@@ -262,13 +287,13 @@ class CacheState:
         """Add an entry, evicting LRU victims until it fits.
 
         ``byte_size`` defaults to ``entry_byte_size(resolution)``.
-        Returns the new entry and the ids evicted by this insert, in
-        eviction order. Raises :class:`EntryTooLarge` before consuming
-        a tick or evicting anything when the entry alone exceeds the
-        budget.
+        Returns a snapshot of the new entry and the ids evicted by this
+        insert, in eviction order. Raises :class:`EntryTooLarge` before
+        consuming a tick or evicting anything when the entry alone
+        exceeds the budget.
         """
         vec = self._check_vec(embedding)
-        self._res_code(resolution)
+        part = self._partition(resolution)
         if byte_size is None:
             byte_size = self.entry_byte_size(resolution)
         byte_size = int(byte_size)
@@ -276,74 +301,29 @@ class CacheState:
             raise ValueError("byte_size must be positive")
         if byte_size > self.capacity_bytes:
             raise EntryTooLarge(
-                f"entry of {byte_size} bytes exceeds capacity "
-                f"{self.capacity_bytes} bytes"
+                f"entry of {byte_size} bytes exceeds capacity {self.capacity_bytes} bytes"
             )
         tick = self.tick
         self.tick += 1
 
-        evicted_before = len(self._evicted)
+        evicted = []
         while self.occupied_bytes + byte_size > self.capacity_bytes:
-            self._evict_one()
-        evicted_now = self._evicted[evicted_before:]
+            evicted.append(self._evict_one())
 
-        entry = CacheEntry(
-            entry_id=self._next_id,
-            embedding=vec,
-            resolution=resolution,
-            byte_size=byte_size,
-            stored_depths=self.stored_depths,
-            created=tick,
-            last_used=tick,
-        )
+        entry_id = self._next_id
         self._next_id += 1
-        self._append_row(entry)
-        self.entries[entry.entry_id] = entry
+        part.append(vec, entry_id, tick, byte_size, RESOLUTIONS.index(resolution))
         self.occupied_bytes += byte_size
-        return entry, evicted_now
+        return CacheEntry(entry_id, vec, resolution, byte_size, self.stored_depths, tick), evicted
 
-    def evicted_ids(self) -> list[int]:
-        """Ids evicted so far, in eviction order."""
-        return list(self._evicted)
-
-    # -- internals ----------------------------------------------------------
-
-    def _append_row(self, entry: CacheEntry) -> None:
-        if self._n == self._emb.shape[0]:
-            grow = self._n * 2
-            self._emb = np.resize(self._emb, (grow, self.dim))
-            self._ids = np.resize(self._ids, grow)
-            self._last_used = np.resize(self._last_used, grow)
-            self._res = np.resize(self._res, grow)
-            self._byte_sizes = np.resize(self._byte_sizes, grow)
-        row = self._n
-        self._emb[row] = entry.embedding
-        self._ids[row] = entry.entry_id
-        self._last_used[row] = entry.last_used
-        self._res[row] = self._res_code(entry.resolution)
-        self._byte_sizes[row] = entry.byte_size
-        self._row_of[entry.entry_id] = row
-        self._n += 1
-
-    def _evict_one(self) -> None:
-        n = self._n
-        lu = self._last_used[:n]
-        tied = np.nonzero(lu == lu.min())[0]
-        if tied.size > 1:
-            victim_row = int(tied[np.argmin(self._ids[tied])])
-        else:
-            victim_row = int(tied[0])
-        victim_id = int(self._ids[victim_row])
-        self.occupied_bytes -= int(self._byte_sizes[victim_row])
-        del self.entries[victim_id]
-        del self._row_of[victim_id]
-        self._evicted.append(victim_id)
-        last = n - 1
-        if victim_row != last:
-            self._emb[victim_row] = self._emb[last]
-            self._ids[victim_row] = self._ids[last]
-            self._last_used[victim_row] = self._last_used[last]
-            self._res[victim_row] = self._res[last]
-            self._byte_sizes[victim_row] = self._byte_sizes[last]
-            self._row_of[int(self._ids[victim_row])] = victim_row
-        self._n = last
+    def _evict_one(self) -> int:
+        """Remove the least recently used entry of any partition; return its id."""
+        part, row = min(
+            ((p, int(p.last_used[: p.n].argmin())) for p in self._parts if p.n),
+            key=lambda pr: pr[0].last_used[pr[1]],
+        )
+        victim_id = int(part.ids[row])
+        self.occupied_bytes -= int(part.sizes[row])
+        part.swap_remove(row)
+        self.evictions += 1
+        return victim_id

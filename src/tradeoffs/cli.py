@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -69,7 +70,10 @@ def parse_bytes(text: str) -> int:
         raise ValueError(f"cannot parse byte count {text!r}") from None
     if value < 0:
         raise ValueError("byte count must be nonnegative")
-    return int(round(value * _BYTES_SUFFIX[suffix]))
+    nbytes = value * _BYTES_SUFFIX[suffix]
+    if not math.isfinite(nbytes):
+        raise ValueError(f"byte count {text!r} is out of range")
+    return int(round(nbytes))
 
 
 def _sha256(path: str) -> str:

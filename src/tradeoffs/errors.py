@@ -50,3 +50,7 @@ class ParseError(TradeoffError):
 
 class EntryTooLarge(TradeoffError):
     """A single cache entry exceeds the total cache capacity."""
+
+
+class NonFiniteEmbedding(TradeoffError):
+    """An embedding holds a NaN or an infinity, or its norm overflows."""

@@ -24,6 +24,7 @@ from .cache import (
     DEFAULT_LATENT_BYTES,
     DEFAULT_POLICY,
     DEFAULT_STORED_DEPTHS,
+    RESOLUTIONS,
     CacheState,
     ReuseDepthPolicy,
 )
@@ -61,6 +62,7 @@ class SimConfig:
     of only refreshing the matched entry. ``cross_resolution_match``
     lets a query match entries of any resolution; off by default, since
     a latent of the wrong resolution cannot be resumed from directly.
+    Both per-resolution maps must cover every entry of ``RESOLUTIONS``.
     """
 
     capacity_bytes: int
@@ -88,6 +90,10 @@ class SimConfig:
         for _, d in self.policy.bands:
             if d not in allowed:
                 raise ValueError(f"policy depth {d} not in stored_depths")
+        for name in ("step_cost_by_resolution", "latent_bytes_by_resolution"):
+            missing = [res for res in RESOLUTIONS if res not in getattr(self, name)]
+            if missing:
+                raise ValueError(f"{name} lacks {', '.join(missing)}")
         for res, c in self.step_cost_by_resolution.items():
             if c <= 0:
                 raise ValueError(f"step cost for {res} must be positive")
@@ -257,7 +263,7 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
         total_full_flops=total_full,
         expected_cost_flops=total_full - total_saved,
         peak_occupied_bytes=peak,
-        evictions=len(cache.evicted_ids()),
+        evictions=cache.evictions,
     )
     return ReplayReport(
         capacity_bytes=config.capacity_bytes,

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .cache import DEFAULT_DIM, RESOLUTIONS
-from .errors import DimensionMismatch, ParseError, ZeroNormEmbedding
+from .errors import DimensionMismatch, NonFiniteEmbedding, ParseError, ZeroNormEmbedding
 
 __all__ = [
     "Request",
@@ -67,7 +68,9 @@ class Trace:
     hand contiguous rows to the cache. Construction stably sorts by
     timestamp (input order breaks ties) and unit-normalizes every
     embedding; vectors already unit-norm within 1e-9 are passed through
-    bit-for-bit, which makes save/load a round trip.
+    bit-for-bit, which makes save/load a round trip. Raises
+    :class:`ZeroNormEmbedding` for a zero embedding and
+    :class:`NonFiniteEmbedding` for one whose norm is NaN or infinite.
     """
 
     def __init__(
@@ -98,6 +101,9 @@ class Trace:
 
         if n:
             norms = np.linalg.norm(emb, axis=1)
+            if not np.isfinite(norms).all():
+                bad = int(np.argmin(np.isfinite(norms)))
+                raise NonFiniteEmbedding(f"request {request_ids[bad]!r} has a non-finite norm")
             if np.any(norms == 0.0):
                 bad = int(np.argmax(norms == 0.0))
                 raise ZeroNormEmbedding(f"request {request_ids[bad]!r} has a zero embedding")
@@ -116,20 +122,6 @@ class Trace:
         self.embeddings = emb
         self.embeddings.setflags(write=False)
         self.timestamps.setflags(write=False)
-
-    @classmethod
-    def from_requests(cls, requests: Sequence[Request], dimension: int | None = None) -> "Trace":
-        if requests:
-            emb = np.stack([r.embedding for r in requests])
-        else:
-            emb = np.zeros((0, dimension or DEFAULT_DIM))
-        return cls(
-            [r.timestamp_ms for r in requests],
-            [r.request_id for r in requests],
-            [r.resolution for r in requests],
-            emb,
-            dimension=dimension,
-        )
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
@@ -211,8 +203,9 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
 
     ``dimension``, if given, overrides inference and every record must
     conform. Raises :class:`ParseError` with the 1-based line number for
-    malformed lines, :class:`DimensionMismatch` for wrong-length
-    embeddings, and :class:`ZeroNormEmbedding` for zero vectors.
+    malformed lines (NaN, infinite and out-of-range embedding values
+    included), :class:`DimensionMismatch` for wrong-length embeddings,
+    and :class:`ZeroNormEmbedding` for zero vectors.
     """
     stream, owns = _open_text(source, "r")
     try:
@@ -223,7 +216,7 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
 
-    ts, ids, res, embs = [], [], [], []
+    ts, ids, res, embs, linenos = [], [], [], [], []
     dim = dimension
     for lineno, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
@@ -272,10 +265,18 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
         ids.append(obj["id"])
         res.append(obj["res"])
         embs.append(emb)
+        linenos.append(lineno)
 
     if dim is None:
         dim = DEFAULT_DIM
-    emb_matrix = np.array(embs, dtype=np.float64) if embs else np.zeros((0, dim))
+    try:
+        emb_matrix = np.array(embs, dtype=np.float64) if embs else np.zeros((0, dim))
+        finite = np.isfinite(emb_matrix).all(axis=1)
+    except OverflowError:  # an integer beyond float64 range
+        finite = [all(abs(v) <= sys.float_info.max for v in emb) for emb in embs]
+    if not np.all(finite):
+        bad = int(np.argmin(finite))
+        raise ParseError("emb values must be finite", line_number=linenos[bad])
     return Trace(ts, ids, res, emb_matrix, dimension=dim)
 
 

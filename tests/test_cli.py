@@ -42,9 +42,17 @@ def test_parse_bytes_suffixes():
     assert parse_bytes("500MB") == 500_000_000
     assert parse_bytes("1.5e2KB") == 150_000
     assert parse_bytes(" 4 GB ") == 4 * 10**9
-    for bad in ("1GiB", "abc", "-1GB"):
+    for bad in ("1GiB", "abc", "-1GB", "1e400GB", "1e300TB"):
         with pytest.raises(ValueError):
             parse_bytes(bad)
+
+
+def test_out_of_range_capacity_is_usage_error(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text('{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n')
+    code, _, err = run(capsys, "replay", "--trace", str(trace_path),
+                       "--capacity", "1e400GB")
+    assert code == 2 and "error:" in err
 
 
 def test_missing_subcommand_is_usage_error():
@@ -124,6 +132,17 @@ def test_missing_file_is_domain_error(capsys):
                        "--capacity", "1GB")
     assert code == 1
     assert json.loads(err)["error"] == "IOError"
+
+
+def test_non_finite_trace_is_domain_error(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text('{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
+                          '{"ts":1,"id":"y","res":"720p","emb":[NaN,1.0]}\n')
+    code, _, err = run(capsys, "replay", "--trace", str(trace_path),
+                       "--capacity", "1GB")
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and doc["message"].startswith("line 2:")
 
 
 def test_bad_flag_value_is_usage_error(capsys):

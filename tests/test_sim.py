@@ -52,10 +52,22 @@ def test_config_rejects_depth_beyond_total_steps():
 
 
 def test_config_rejects_bad_costs():
-    with pytest.raises(ValueError):
-        SimConfig(capacity_bytes=0, step_cost_by_resolution={"720p": 0.0})
+    with pytest.raises(ValueError, match="step cost for 720p"):
+        SimConfig(capacity_bytes=0,
+                  step_cost_by_resolution={"720p": 0.0, "1080p": 1e9, "2k": 1e9})
     with pytest.raises(ValueError):
         SimConfig(capacity_bytes=-1)
+
+
+def test_config_requires_every_resolution():
+    # A partial map would otherwise fail mid-replay at the first request
+    # of a missing resolution.
+    with pytest.raises(ValueError, match="step_cost_by_resolution lacks 2k"):
+        SimConfig(capacity_bytes=0,
+                  step_cost_by_resolution={"720p": 1e9, "1080p": 1e9})
+    with pytest.raises(ValueError, match="latent_bytes_by_resolution lacks 1080p, 2k"):
+        SimConfig(capacity_bytes=0,
+                  latent_bytes_by_resolution={"720p": 16_000_000})
 
 
 # ---------------------------------------------------------------------------

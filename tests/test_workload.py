@@ -7,6 +7,7 @@ import scipy.stats
 from tradeoffs import (
     DimensionMismatch,
     GeneratorConfig,
+    NonFiniteEmbedding,
     ParseError,
     Trace,
     ZeroNormEmbedding,
@@ -83,6 +84,23 @@ def test_parse_errors_carry_line_numbers():
 def test_zero_embedding_rejected():
     with pytest.raises(ZeroNormEmbedding):
         _load('{"ts":0,"id":"x","res":"720p","emb":[0,0,0]}\n')
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_embedding_is_parse_error_on_its_line(value):
+    text = (
+        '{"dim":2}\n'
+        '{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
+        '{"ts":1,"id":"y","res":"720p","emb":[%s,1.0]}\n' % value
+    )
+    with pytest.raises(ParseError, match="line 3: emb values must be finite"):
+        _load(text)
+
+
+def test_trace_rejects_non_finite_embedding():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteEmbedding, match="'y'"):
+            Trace([0, 1], ["x", "y"], ["720p", "720p"], [[1.0, 0.0], [bad, 1.0]])
 
 
 def test_blank_lines_ignored():
