@@ -74,7 +74,6 @@ from .sim import (
 )
 from .workload import (
     GeneratorConfig,
-    Request,
     Trace,
     generate_trace,
     load_trace,
@@ -127,7 +126,6 @@ __all__ = [
     "LookupResult",
     "CacheState",
     # workload
-    "Request",
     "Trace",
     "GeneratorConfig",
     "load_trace",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cache import DEFAULT_DIM, RESOLUTIONS
-from .errors import ParseError, TradeoffError
+from .errors import TradeoffError
 from .models import (
     CacheCostParams,
     DeficitParams,
@@ -49,7 +49,13 @@ from .sim import (
     sweep,
     write_curve_csv,
 )
-from .workload import GeneratorConfig, generate_trace, load_trace, save_trace
+from .workload import (
+    GeneratorConfig,
+    _read_float_csv,
+    generate_trace,
+    load_trace,
+    save_trace,
+)
 
 SAMPLES_CSV_HEADER = "bandwidth_bpp,compute_flops,quality"
 
@@ -106,24 +112,6 @@ def _write_manifest(
 
 def _emit(doc: dict | list) -> None:
     print(json.dumps(doc, indent=2))
-
-
-def _load_samples_csv(path: str) -> list[RateComputeSample]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().strip().split("\n") if ln.strip()]
-    if not lines or lines[0].strip() != SAMPLES_CSV_HEADER:
-        raise ParseError(f"expected header {SAMPLES_CSV_HEADER!r}", line_number=1)
-    samples = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ParseError("expected 3 comma-separated values", line_number=lineno)
-        try:
-            b, c, q = (float(v) for v in parts)
-        except ValueError:
-            raise ParseError("non-numeric value", line_number=lineno) from None
-        samples.append(RateComputeSample(b, c, q))
-    return samples
 
 
 def _add_model_args(p: argparse.ArgumentParser, allow_hit: bool) -> None:
@@ -324,7 +312,8 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    samples = _load_samples_csv(args.samples)
+    rows = _read_float_csv(args.samples, SAMPLES_CSV_HEADER)
+    samples = [RateComputeSample(*row) for row in rows]
     result = frontier_min_bandwidth(samples, args.quality, args.budget)
     _emit(
         {

@@ -35,10 +35,10 @@ class ZeroNormEmbedding(TradeoffError):
 
 
 class ParseError(TradeoffError):
-    """A trace record could not be parsed.
+    """A trace record or CSV row could not be parsed.
 
     ``line_number`` is 1-based and refers to the offending line of the
-    input stream.
+    input stream, or is ``None`` where no single line can be named.
     """
 
     def __init__(self, message: str, line_number: int | None = None):

@@ -30,7 +30,7 @@ from .cache import (
 )
 from .errors import EntryTooLarge
 from .models import FitResult, HitRateModel, fit_hit_rate
-from .workload import Trace
+from .workload import Trace, _read_float_csv, _write_text
 
 __all__ = [
     "SimConfig",
@@ -382,35 +382,22 @@ def curve_to_csv(curve: Sequence[CurvePoint]) -> str:
 
 
 def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -> None:
-    text = curve_to_csv(curve)
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        dest.write(text)
+    _write_text(dest, curve_to_csv(curve))
 
 
 def read_curve_csv(source: str | os.PathLike | IO) -> list[CurvePoint]:
-    """Parse curve CSV back into points; inverse of ``curve_to_csv``."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as f:
-            text = f.read()
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    lines = [ln for ln in text.strip().split("\n") if ln.strip()]
-    if not lines or lines[0].strip() != CURVE_CSV_HEADER:
-        raise ValueError(f"expected header {CURVE_CSV_HEADER!r}")
-    points = []
-    for ln in lines[1:]:
-        cap_gb, hit, saved, cost = (float(v) for v in ln.split(","))
-        points.append(
-            CurvePoint(
-                capacity_bytes=int(round(cap_gb * GB)),
-                hit_rate=hit,
-                saved_flops=saved,
-                expected_cost_flops=cost,
-            )
+    """Parse curve CSV back into points; inverse of ``curve_to_csv``.
+
+    Raises :class:`ParseError` with its line number for a wrong header,
+    a row without exactly four values, or a value that is not a finite
+    number.
+    """
+    return [
+        CurvePoint(
+            capacity_bytes=int(round(cap_gb * GB)),
+            hit_rate=hit,
+            saved_flops=saved,
+            expected_cost_flops=cost,
         )
-    return points
+        for cap_gb, hit, saved, cost in _read_float_csv(source, CURVE_CSV_HEADER)
+    ]

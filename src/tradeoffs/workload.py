@@ -12,18 +12,19 @@ cluster centers drawn uniformly on the unit sphere, cluster popularity
 Zipf-distributed over popularity rank, and per-request isotropic noise
 re-normalized onto the sphere. Randomness comes from NumPy's
 ``default_rng`` (the PCG64 bit generator), so a fixed seed reproduces
-traces bit-for-bit across runs and platforms; the draw order (centers,
-then cluster assignments, then noise, then resolutions) is part of the
-format contract and must not be reordered.
+traces bit-for-bit across runs on one platform and numpy version; the
+draw order (centers, then cluster assignments, then noise, then
+resolutions) is part of the format contract and must not be reordered.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
-import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .cache import DEFAULT_DIM, RESOLUTIONS
 from .errors import DimensionMismatch, NonFiniteEmbedding, ParseError, ZeroNormEmbedding
 
 __all__ = [
-    "Request",
     "Trace",
     "GeneratorConfig",
     "load_trace",
@@ -39,26 +39,6 @@ __all__ = [
     "save_trace",
     "generate_trace",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Request:
-    """One inference request: when it arrived, who it was, what it asked."""
-
-    timestamp_ms: int
-    request_id: str
-    resolution: str
-    embedding: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Request):
-            return NotImplemented
-        return (
-            self.timestamp_ms == other.timestamp_ms
-            and self.request_id == other.request_id
-            and self.resolution == other.resolution
-            and np.array_equal(self.embedding, other.embedding)
-        )
 
 
 class Trace:
@@ -126,18 +106,6 @@ class Trace:
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
-    def request(self, i: int) -> Request:
-        return Request(
-            timestamp_ms=int(self.timestamps[i]),
-            request_id=self.request_ids[i],
-            resolution=self.resolutions[i],
-            embedding=self.embeddings[i],
-        )
-
-    def __iter__(self) -> Iterator[Request]:
-        for i in range(len(self)):
-            yield self.request(i)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
@@ -193,88 +161,136 @@ class GeneratorConfig:
 
 
 def _open_text(source, mode: str):
+    """A context manager over ``source``: a path is opened as UTF-8 text
+    and closed on exit; a stream is used as is and left open."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, mode, encoding="utf-8"), True
-    return source, False
+        return open(source, mode, encoding="utf-8")
+    return contextlib.nullcontext(source)
+
+
+_NOT_UTF8 = "not valid UTF-8"
+
+
+def _numbered_lines(stream):
+    """``enumerate(stream, 1)``, raising :class:`ParseError` for text that
+    does not decode. It has no line number: the decoder reads ahead in
+    chunks, so the failing line is not the one being counted."""
+    try:
+        yield from enumerate(stream, start=1)
+    except UnicodeDecodeError:
+        raise ParseError(_NOT_UTF8) from None
+
+
+def _write_text(dest: str | os.PathLike | IO, text: str) -> None:
+    with _open_text(dest, "w") as stream:
+        stream.write(text)
+
+
+def _read_float_csv(source: str | os.PathLike | IO, header: str) -> list[list[float]]:
+    """Rows of a CSV of finite numbers under the exact line ``header``.
+
+    Blank lines are skipped. Raises :class:`ParseError` with the 1-based
+    physical line number for a missing or wrong header, a row whose
+    column count differs from the header's, or a value that is not a
+    finite number.
+    """
+    width = header.count(",") + 1
+    rows = []
+    with _open_text(source, "r") as stream:
+        lines = ((n, ln.strip()) for n, ln in _numbered_lines(stream) if ln.strip())
+        lineno, first = next(lines, (1, ""))
+        if first != header:
+            raise ParseError(f"expected header {header!r}", line_number=lineno)
+        for lineno, line in lines:
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ParseError(
+                    f"expected {width} comma-separated values, got {len(parts)}",
+                    line_number=lineno,
+                )
+            try:
+                row = [float(v) for v in parts]
+            except ValueError:
+                raise ParseError("non-numeric value", line_number=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError("values must be finite", line_number=lineno)
+            rows.append(row)
+    return rows
 
 
 def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> Trace:
     """Parse a JSON-lines trace from a path, text stream, or byte stream.
 
-    ``dimension``, if given, overrides inference and every record must
-    conform. Raises :class:`ParseError` with the 1-based line number for
-    malformed lines (NaN, infinite and out-of-range embedding values
-    included), :class:`DimensionMismatch` for wrong-length embeddings,
-    and :class:`ZeroNormEmbedding` for zero vectors.
+    The input is read one line at a time. ``dimension``, if given,
+    overrides inference and every record must conform. Raises
+    :class:`ParseError` with the 1-based line number for malformed
+    lines (NaN, infinite and out-of-range embedding values included;
+    text that is not UTF-8 has a line number only in a byte stream),
+    :class:`DimensionMismatch` for wrong-length embeddings, and
+    :class:`ZeroNormEmbedding` for zero vectors.
     """
-    stream, owns = _open_text(source, "r")
-    try:
-        raw = stream.read()
-    finally:
-        if owns:
-            stream.close()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-
     ts, ids, res, embs, linenos = [], [], [], [], []
     dim = dimension
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", line_number=lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("record must be a JSON object", line_number=lineno)
-        if "dim" in obj and "ts" not in obj:
-            # Header line; legal only before any record.
-            if ts:
-                raise ParseError("header after records", line_number=lineno)
-            if not isinstance(obj["dim"], int) or obj["dim"] < 1:
-                raise ParseError("dim must be a positive integer", line_number=lineno)
-            if dim is not None and obj["dim"] != dim:
-                raise DimensionMismatch(
-                    f"header dim {obj['dim']} != expected {dim}"
+    with _open_text(source, "r") as stream:
+        for lineno, line in _numbered_lines(stream):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(f"invalid JSON: {e.msg}", line_number=lineno) from None
+            except UnicodeDecodeError:  # a byte stream's line
+                raise ParseError(_NOT_UTF8, line_number=lineno) from None
+            if not isinstance(obj, dict):
+                raise ParseError("record must be a JSON object", line_number=lineno)
+            if "dim" in obj and "ts" not in obj:
+                # Header line; legal only before any record.
+                if ts:
+                    raise ParseError("header after records", line_number=lineno)
+                if not isinstance(obj["dim"], int) or obj["dim"] < 1:
+                    raise ParseError("dim must be a positive integer", line_number=lineno)
+                if dim is not None and obj["dim"] != dim:
+                    raise DimensionMismatch(
+                        f"header dim {obj['dim']} != expected {dim}"
+                    )
+                dim = obj["dim"]
+                continue
+            missing = {"ts", "id", "res", "emb"} - obj.keys()
+            if missing:
+                raise ParseError(
+                    f"missing keys: {', '.join(sorted(missing))}", line_number=lineno
                 )
-            dim = obj["dim"]
-            continue
-        missing = {"ts", "id", "res", "emb"} - obj.keys()
-        if missing:
-            raise ParseError(
-                f"missing keys: {', '.join(sorted(missing))}", line_number=lineno
-            )
-        if not isinstance(obj["ts"], int) or isinstance(obj["ts"], bool):
-            raise ParseError("ts must be an integer", line_number=lineno)
-        if not isinstance(obj["id"], str):
-            raise ParseError("id must be a string", line_number=lineno)
-        if obj["res"] not in RESOLUTIONS:
-            raise ParseError(f"unknown resolution {obj['res']!r}", line_number=lineno)
-        emb = obj["emb"]
-        if not isinstance(emb, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in emb
-        ):
-            raise ParseError("emb must be an array of numbers", line_number=lineno)
-        if dim is None:
-            dim = len(emb)
-        if len(emb) != dim:
-            raise DimensionMismatch(
-                f"line {lineno}: embedding has {len(emb)} values, expected {dim}"
-            )
-        ts.append(obj["ts"])
-        ids.append(obj["id"])
-        res.append(obj["res"])
-        embs.append(emb)
-        linenos.append(lineno)
+            if not isinstance(obj["ts"], int) or isinstance(obj["ts"], bool):
+                raise ParseError("ts must be an integer", line_number=lineno)
+            if not isinstance(obj["id"], str):
+                raise ParseError("id must be a string", line_number=lineno)
+            if obj["res"] not in RESOLUTIONS:
+                raise ParseError(f"unknown resolution {obj['res']!r}", line_number=lineno)
+            emb = obj["emb"]
+            if not isinstance(emb, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in emb
+            ):
+                raise ParseError("emb must be an array of numbers", line_number=lineno)
+            if dim is None:
+                dim = len(emb)
+            if len(emb) != dim:
+                raise DimensionMismatch(
+                    f"line {lineno}: embedding has {len(emb)} values, expected {dim}"
+                )
+            try:
+                embs.append(np.array(emb, dtype=np.float64))
+            except OverflowError:  # an integer beyond float64 range
+                raise ParseError("emb values must be finite", line_number=lineno) from None
+            ts.append(obj["ts"])
+            ids.append(obj["id"])
+            res.append(obj["res"])
+            linenos.append(lineno)
 
     if dim is None:
         dim = DEFAULT_DIM
-    try:
-        emb_matrix = np.array(embs, dtype=np.float64) if embs else np.zeros((0, dim))
-        finite = np.isfinite(emb_matrix).all(axis=1)
-    except OverflowError:  # an integer beyond float64 range
-        finite = [all(abs(v) <= sys.float_info.max for v in emb) for emb in embs]
-    if not np.all(finite):
+    emb_matrix = np.stack(embs) if embs else np.zeros((0, dim))
+    finite = np.isfinite(emb_matrix).all(axis=1)
+    if not finite.all():
         bad = int(np.argmin(finite))
         raise ParseError("emb values must be finite", line_number=linenos[bad])
     return Trace(ts, ids, res, emb_matrix, dimension=dim)
@@ -287,15 +303,13 @@ def serialize_trace(trace: Trace) -> str:
     ``load_trace(serialize_trace(t)) == t`` exactly.
     """
     lines = [json.dumps({"dim": trace.dimension}, separators=(",", ":"))]
-    for r in trace:
+    for ts, rid, res, emb in zip(
+        trace.timestamps.tolist(), trace.request_ids, trace.resolutions, trace.embeddings
+    ):
+        # One row at a time: a whole-matrix tolist() holds every float at once.
         lines.append(
             json.dumps(
-                {
-                    "ts": r.timestamp_ms,
-                    "id": r.request_id,
-                    "res": r.resolution,
-                    "emb": r.embedding.tolist(),
-                },
+                {"ts": ts, "id": rid, "res": res, "emb": emb.tolist()},
                 separators=(",", ":"),
             )
         )
@@ -304,13 +318,7 @@ def serialize_trace(trace: Trace) -> str:
 
 def save_trace(trace: Trace, dest: str | os.PathLike | IO) -> None:
     """Write ``serialize_trace(trace)`` to a path or text stream."""
-    text = serialize_trace(trace)
-    stream, owns = _open_text(dest, "w")
-    try:
-        stream.write(text)
-    finally:
-        if owns:
-            stream.close()
+    _write_text(dest, serialize_trace(trace))
 
 
 def generate_trace(config: GeneratorConfig) -> Trace:

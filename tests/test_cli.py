@@ -127,6 +127,29 @@ def test_frontier_bad_csv_is_domain_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_frontier_non_finite_sample_is_domain_error(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("bandwidth_bpp,compute_flops,quality\n"
+                       "0.15,1e9,0.9\nnan,1e9,0.9\n")
+    code, out, err = run(capsys, "frontier", "--samples", str(samples),
+                         "--quality", "0.9", "--budget", "1e10")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and doc["message"].startswith("line 3:")
+
+
+@pytest.mark.parametrize("row", ["0.08,0.5,0", "0.08,0.5,0,0,0", "0.08,x,0,0",
+                                 "inf,0.5,0,0"])
+def test_fit_malformed_curve_is_domain_error(tmp_path, capsys, row):
+    path = tmp_path / "curve.csv"
+    path.write_text("capacity_gb,hit_rate,saved_flops,expected_cost_flops\n"
+                    "0.04,0.25,0,0\n" + row + "\n0.16,0.75,0,0\n")
+    code, out, err = run(capsys, "fit", "--curve", str(path), "--family", "exp")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and doc["message"].startswith("line 3:")
+
+
 def test_missing_file_is_domain_error(capsys):
     code, _, err = run(capsys, "replay", "--trace", "no-such.jsonl",
                        "--capacity", "1GB")
@@ -143,6 +166,17 @@ def test_non_finite_trace_is_domain_error(tmp_path, capsys):
     assert code == 1
     doc = json.loads(err)
     assert doc["error"] == "ParseError" and doc["message"].startswith("line 2:")
+
+
+def test_non_utf8_trace_is_domain_error(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_bytes(b'{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
+                           b'{"ts":1,"id":"\xff","res":"720p","emb":[0,1]}\n')
+    code, out, err = run(capsys, "replay", "--trace", str(trace_path),
+                         "--capacity", "1GB")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc == {"error": "ParseError", "message": "not valid UTF-8"}
 
 
 def test_bad_flag_value_is_usage_error(capsys):

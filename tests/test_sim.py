@@ -8,6 +8,7 @@ from tradeoffs import (
     CurvePoint,
     ExponentialSaturation,
     GeneratorConfig,
+    ParseError,
     PowerLaw,
     ReuseDepthPolicy,
     SimConfig,
@@ -219,8 +220,21 @@ def test_curve_csv_round_trip():
 
 
 def test_curve_csv_rejects_wrong_header():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="line 1"):
         read_curve_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+
+@pytest.mark.parametrize("row, fragment", [
+    ("0.08,0.5,0", "expected 4 comma-separated values, got 3"),
+    ("0.08,0.5,0,0,0", "expected 4 comma-separated values, got 5"),
+    ("0.08,half,0,0", "non-numeric"),
+    ("inf,0.5,0,0", "values must be finite"),
+    ("0.08,nan,0,0", "values must be finite"),
+])
+def test_curve_csv_rejects_malformed_rows_on_their_line(row, fragment):
+    text = "capacity_gb,hit_rate,saved_flops,expected_cost_flops\n\n0.04,0.25,0,0\n" + row + "\n"
+    with pytest.raises(ParseError, match=f"line 4: {fragment}"):
+        read_curve_csv(io.StringIO(text))
 
 
 def test_fit_curve_heavy_tail_prefers_power_law():

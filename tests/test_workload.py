@@ -97,6 +97,27 @@ def test_non_finite_embedding_is_parse_error_on_its_line(value):
         _load(text)
 
 
+def test_huge_integer_embedding_fails_on_its_own_line():
+    text = (
+        '{"ts":0,"id":"x","res":"720p","emb":[%s,0]}\n'
+        'not json\n'
+    ) % ("1" + "0" * 400)
+    with pytest.raises(ParseError, match="line 1: emb values must be finite"):
+        _load(text)
+
+
+def test_non_utf8_trace_is_parse_error(tmp_path):
+    data = (b'{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
+            b'{"ts":1,"id":"\xff","res":"720p","emb":[0,1]}\n')
+    with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
+        load_trace(io.BytesIO(data))
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_trace(path)
+    assert exc.value.line_number is None  # the text decoder reads ahead
+
+
 def test_trace_rejects_non_finite_embedding():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteEmbedding, match="'y'"):
@@ -134,6 +155,22 @@ def test_save_trace_to_path(tmp_path):
                                         dimension=8, seed=1))
     path = tmp_path / "t.jsonl"
     save_trace(tr, path)
+    assert load_trace(path) == tr
+
+
+def test_byte_stream_loads_like_text_stream():
+    tr = generate_trace(GeneratorConfig(num_requests=30, num_clusters=3, dimension=8,
+                                        resolution_mix={"720p": 0.5, "2k": 0.5}, seed=4))
+    text = "\n" + serialize_trace(tr).replace("\n", "\n\n", 3)
+    from_bytes = load_trace(io.BytesIO(text.encode("utf-8")))
+    assert from_bytes == _load(text) == tr
+
+
+def test_crlf_path_loads_the_same_trace(tmp_path):
+    tr = generate_trace(GeneratorConfig(num_requests=20, num_clusters=3,
+                                        dimension=8, seed=5))
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(serialize_trace(tr).replace("\n", "\r\n").encode("utf-8"))
     assert load_trace(path) == tr
 
 
