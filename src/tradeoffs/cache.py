@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,16 +52,20 @@ DEFAULT_STORED_DEPTHS: tuple[int, ...] = (5, 10, 15, 20, 25)
 
 DEFAULT_DIM = 768
 
+_RES_CODE = {res: code for code, res in enumerate(RESOLUTIONS)}
+
 
 def normalize(vec, tol: float = 1e-9) -> np.ndarray:
     """Return ``vec`` as a unit-norm float64 vector.
 
     Vectors already within ``tol`` of unit norm are passed through
-    undivided, so normalizing twice is the identity bit-for-bit.
-    Raises :class:`ZeroNormEmbedding` for the zero vector and
-    :class:`NonFiniteEmbedding` when the norm is NaN or infinite.
+    undivided, so normalizing twice is the identity bit-for-bit; a
+    float64 array already within ``tol`` is returned as is, not copied.
+    The input is never modified. Raises :class:`ZeroNormEmbedding` for
+    the zero vector and :class:`NonFiniteEmbedding` when the norm is
+    NaN or infinite.
     """
-    arr = np.array(vec, dtype=np.float64)
+    arr = np.asarray(vec, dtype=np.float64)
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d vector, got shape {arr.shape}")
     # np.linalg.norm computes exactly this for real 1-d input.
@@ -71,7 +75,7 @@ def normalize(vec, tol: float = 1e-9) -> np.ndarray:
     if norm == 0.0:
         raise ZeroNormEmbedding("cannot normalize the zero vector")
     if abs(norm - 1.0) > tol:
-        arr /= norm
+        arr = arr / norm
     return arr
 
 
@@ -129,8 +133,7 @@ class CacheEntry:
     last_used: int
 
 
-@dataclass(frozen=True)
-class LookupResult:
+class LookupResult(NamedTuple):
     """Outcome of one lookup.
 
     ``depth`` > 0 means a hit at that reuse depth. ``similarity`` and
@@ -157,22 +160,26 @@ class _Partition:
         self.ids, self.last_used, self.sizes = np.zeros((3, 64), dtype=np.int64)
         self.res = np.zeros(64, dtype=np.int8)  # index into RESOLUTIONS
 
-    def append(self, *values) -> None:
-        """Add a row; ``values`` follow ``COLUMNS``."""
+    def append(self, emb, entry_id: int, last_used: int, size: int, res: int) -> None:
         row = self.n
-        for name, value in zip(self.COLUMNS, values):
-            arr = getattr(self, name)
-            if row == len(arr):
-                arr = np.resize(arr, (2 * row,) + arr.shape[1:])
-                setattr(self, name, arr)
-            arr[row] = value
+        if row == len(self.ids):
+            for name in self.COLUMNS:
+                arr = getattr(self, name)
+                setattr(self, name, np.resize(arr, (2 * row,) + arr.shape[1:]))
+        self.emb[row] = emb
+        self.ids[row] = entry_id
+        self.last_used[row] = last_used
+        self.sizes[row] = size
+        self.res[row] = res
         self.n = row + 1
 
     def swap_remove(self, row: int) -> None:
-        self.n -= 1
-        for name in self.COLUMNS:
-            arr = getattr(self, name)
-            arr[row] = arr[self.n]
+        self.n = last = self.n - 1
+        self.emb[row] = self.emb[last]
+        self.ids[row] = self.ids[last]
+        self.last_used[row] = self.last_used[last]
+        self.sizes[row] = self.sizes[last]
+        self.res[row] = self.res[last]
 
 
 class CacheState:
@@ -211,6 +218,9 @@ class CacheState:
         self.match_same_resolution = bool(match_same_resolution)
         self.stored_depths = tuple(sorted(int(d) for d in stored_depths))
         self.latent_bytes = dict(latent_bytes)
+        self._entry_size = {
+            res: len(self.stored_depths) * int(b) for res, b in self.latent_bytes.items()
+        }
         self.tick = 0
         self.occupied_bytes = 0
         self.evictions = 0
@@ -240,7 +250,7 @@ class CacheState:
     def entry_byte_size(self, resolution: str) -> int:
         """Default footprint: one latent per stored depth."""
         self._partition(resolution)
-        return len(self.stored_depths) * int(self.latent_bytes[resolution])
+        return self._entry_size[resolution]
 
     def resident(self) -> dict[int, CacheEntry]:
         """Snapshots of the resident entries, keyed and ordered by id."""
@@ -264,16 +274,17 @@ class CacheState:
         tick = self.tick
         self.tick += 1
 
-        if part.n == 0:
+        n = part.n
+        if n == 0:
             return LookupResult(False, 0, None, None, tick)
-        sims = part.emb[: part.n] @ vec
-        row = int(sims.argmax())
-        ties = sims == sims[row]
-        if np.count_nonzero(ties) > 1:
-            tied = np.flatnonzero(ties)
-            row = int(tied[part.last_used[tied].argmax()])
-        best_sim = float(sims[row])
-        matched_id = int(part.ids[row])
+        # ndarray.dot is the same BLAS matvec as ``@`` without the ufunc dispatch.
+        sims = part.emb[:n].dot(vec)
+        row = sims.argmax()
+        if n - 1 - sims[::-1].argmax() != row:  # the first and last maxima differ: a tie
+            tied = np.flatnonzero(sims == sims[row])
+            row = tied[part.last_used[tied].argmax()]
+        best_sim = sims[row].item()
+        matched_id = part.ids[row].item()
 
         depth = self.policy.depth_for(best_sim)
         if depth > 0:
@@ -295,7 +306,7 @@ class CacheState:
         vec = self._check_vec(embedding)
         part = self._partition(resolution)
         if byte_size is None:
-            byte_size = self.entry_byte_size(resolution)
+            byte_size = self._entry_size[resolution]
         byte_size = int(byte_size)
         if byte_size <= 0:
             raise ValueError("byte_size must be positive")
@@ -312,18 +323,23 @@ class CacheState:
 
         entry_id = self._next_id
         self._next_id += 1
-        part.append(vec, entry_id, tick, byte_size, RESOLUTIONS.index(resolution))
+        part.append(vec, entry_id, tick, byte_size, _RES_CODE[resolution])
         self.occupied_bytes += byte_size
-        return CacheEntry(entry_id, vec, resolution, byte_size, self.stored_depths, tick), evicted
+        # normalize() may hand back the caller's array; the snapshot must not alias it.
+        entry = CacheEntry(entry_id, vec.copy(), resolution, byte_size, self.stored_depths, tick)
+        return entry, evicted
 
     def _evict_one(self) -> int:
         """Remove the least recently used entry of any partition; return its id."""
-        part, row = min(
-            ((p, int(p.last_used[: p.n].argmin())) for p in self._parts if p.n),
-            key=lambda pr: pr[0].last_used[pr[1]],
-        )
-        victim_id = int(part.ids[row])
-        self.occupied_bytes -= int(part.sizes[row])
+        victim = oldest = None
+        for part in self._parts:
+            if part.n:
+                row = part.last_used[: part.n].argmin()
+                if victim is None or part.last_used[row] < oldest:
+                    victim, oldest = (part, row), part.last_used[row]
+        part, row = victim
+        victim_id = part.ids[row].item()
+        self.occupied_bytes -= part.sizes[row].item()
         part.swap_remove(row)
         self.evictions += 1
         return victim_id

@@ -94,13 +94,15 @@ def _write_manifest(
     out_path: str,
     subcommand: str,
     parameters: dict,
-    inputs: list[str],
+    inputs: dict[str, str],
     seed: int | None = None,
 ) -> None:
+    """Write ``<out_path>.manifest.json``; ``inputs`` maps each input
+    path to its SHA-256, hashed once per command by the caller."""
     doc = {
         "subcommand": subcommand,
         "parameters": parameters,
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "seed": seed,
         "tool_version": __version__,
         "numpy_version": np.__version__,
@@ -312,8 +314,7 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    rows = _read_float_csv(args.samples, SAMPLES_CSV_HEADER)
-    samples = [RateComputeSample(*row) for row in rows]
+    samples = _read_float_csv(args.samples, SAMPLES_CSV_HEADER, RateComputeSample)
     result = frontier_min_bandwidth(samples, args.quality, args.budget)
     _emit(
         {
@@ -374,7 +375,7 @@ def _cmd_gen(args) -> int:
             "res_mix": config.resolution_mix,
             "out": args.out,
         },
-        inputs=[],
+        inputs={},
         seed=seed,
     )
     _emit({"out": args.out, "requests": len(trace), "dimension": trace.dimension, "seed": seed})
@@ -400,16 +401,18 @@ def _cmd_replay(args) -> int:
     report = replay(trace, config, keep_records=args.records is not None)
     doc = report.to_dict(include_records=False)
     params = _replay_params(args, {"capacity_bytes": capacity})
+    if args.records or args.out:
+        inputs = {args.trace: _sha256(args.trace)}
     if args.records:
         with open(args.records, "w", encoding="utf-8") as f:
             for rec in report.per_request:
                 f.write(json.dumps(rec.to_dict()) + "\n")
-        _write_manifest(args.records, "replay", params, inputs=[args.trace])
+        _write_manifest(args.records, "replay", params, inputs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2)
             f.write("\n")
-        _write_manifest(args.out, "replay", params, inputs=[args.trace])
+        _write_manifest(args.out, "replay", params, inputs)
     else:
         _emit(doc)
     return 0
@@ -423,7 +426,7 @@ def _cmd_sweep(args) -> int:
     params = _replay_params(args, {"capacities_bytes": sorted(capacities)})
     if args.out:
         write_curve_csv(curve, args.out)
-        _write_manifest(args.out, "sweep", params, inputs=[args.trace])
+        _write_manifest(args.out, "sweep", params, {args.trace: _sha256(args.trace)})
     _emit(
         [
             {

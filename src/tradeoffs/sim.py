@@ -279,12 +279,22 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One sweep row; saved/expected FLOPs are trace totals."""
+    """One sweep row; saved/expected FLOPs are trace totals.
+
+    Raises ``ValueError`` for a negative capacity or a hit rate outside
+    [0, 1].
+    """
 
     capacity_bytes: int
     hit_rate: float
     saved_flops: float
     expected_cost_flops: float
+
+    def __post_init__(self):
+        if self.capacity_bytes < 0:
+            raise ValueError("capacity must be nonnegative")
+        if not 0.0 <= self.hit_rate <= 1.0:
+            raise ValueError("hit rate must lie in [0, 1]")
 
     @property
     def capacity_gb(self) -> float:
@@ -385,19 +395,15 @@ def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -
     _write_text(dest, curve_to_csv(curve))
 
 
+def _curve_row(cap_gb: float, hit: float, saved: float, cost: float) -> CurvePoint:
+    return CurvePoint(int(round(cap_gb * GB)), hit, saved, cost)
+
+
 def read_curve_csv(source: str | os.PathLike | IO) -> list[CurvePoint]:
     """Parse curve CSV back into points; inverse of ``curve_to_csv``.
 
     Raises :class:`ParseError` with its line number for a wrong header,
-    a row without exactly four values, or a value that is not a finite
-    number.
+    a row without exactly four values, a value that is not a finite
+    number, a negative capacity, or a hit rate outside [0, 1].
     """
-    return [
-        CurvePoint(
-            capacity_bytes=int(round(cap_gb * GB)),
-            hit_rate=hit,
-            saved_flops=saved,
-            expected_cost_flops=cost,
-        )
-        for cap_gb, hit, saved, cost in _read_float_csv(source, CURVE_CSV_HEADER)
-    ]
+    return _read_float_csv(source, CURVE_CSV_HEADER, _curve_row)

@@ -24,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -169,6 +169,7 @@ def _open_text(source, mode: str):
 
 
 _NOT_UTF8 = "not valid UTF-8"
+_JSON_NUMBERS = frozenset({int, float})
 
 
 def _numbered_lines(stream):
@@ -186,16 +187,17 @@ def _write_text(dest: str | os.PathLike | IO, text: str) -> None:
         stream.write(text)
 
 
-def _read_float_csv(source: str | os.PathLike | IO, header: str) -> list[list[float]]:
-    """Rows of a CSV of finite numbers under the exact line ``header``.
+def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callable) -> list:
+    """``record(*values)`` for each row of a CSV of finite numbers under
+    the exact line ``header``.
 
     Blank lines are skipped. Raises :class:`ParseError` with the 1-based
     physical line number for a missing or wrong header, a row whose
-    column count differs from the header's, or a value that is not a
-    finite number.
+    column count differs from the header's, a value that is not a
+    finite number, or a row that ``record`` rejects with ``ValueError``.
     """
     width = header.count(",") + 1
-    rows = []
+    records = []
     with _open_text(source, "r") as stream:
         lines = ((n, ln.strip()) for n, ln in _numbered_lines(stream) if ln.strip())
         lineno, first = next(lines, (1, ""))
@@ -214,8 +216,11 @@ def _read_float_csv(source: str | os.PathLike | IO, header: str) -> list[list[fl
                 raise ParseError("non-numeric value", line_number=lineno) from None
             if not all(map(math.isfinite, row)):
                 raise ParseError("values must be finite", line_number=lineno)
-            rows.append(row)
-    return rows
+            try:
+                records.append(record(*row))
+            except ValueError as e:  # a finite value out of its column's range
+                raise ParseError(str(e), line_number=lineno) from None
+    return records
 
 
 def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> Trace:
@@ -267,9 +272,8 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
             if obj["res"] not in RESOLUTIONS:
                 raise ParseError(f"unknown resolution {obj['res']!r}", line_number=lineno)
             emb = obj["emb"]
-            if not isinstance(emb, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in emb
-            ):
+            # json.loads makes only these number types; bool is its own type.
+            if not isinstance(emb, list) or not set(map(type, emb)) <= _JSON_NUMBERS:
                 raise ParseError("emb must be an array of numbers", line_number=lineno)
             if dim is None:
                 dim = len(emb)

@@ -45,6 +45,23 @@ def test_normalize_unit_passthrough_is_exact():
     assert np.array_equal(out, v)  # no division applied
 
 
+def test_normalize_leaves_its_input_unchanged():
+    v = np.array([3.0, 4.0])
+    out = normalize(v)
+    assert v.tolist() == [3.0, 4.0]
+    assert np.allclose(out, [0.6, 0.8])
+
+
+def test_insert_snapshot_does_not_alias_the_caller_array():
+    v = unit(2)
+    c = CacheState(capacity_bytes=E720, dim=8)
+    entry, _ = c.insert(v, "720p")
+    assert not np.shares_memory(entry.embedding, v)
+    v[2] = 0.5
+    assert entry.embedding[2] == 1.0
+    assert c.lookup(unit(2), "720p").depth == 25
+
+
 def test_normalize_rejects_zero_and_matrices():
     with pytest.raises(ZeroNormEmbedding):
         normalize([0.0, 0.0, 0.0])
@@ -130,15 +147,23 @@ def test_lookup_selects_highest_similarity():
 
 
 def test_similarity_tie_prefers_most_recent():
-    # Ticks are unique, so recency always breaks similarity ties.
+    # Ticks are unique, so recency always breaks similarity ties, whether
+    # the most recent tied row sits after or before the others.
     v = unit(3)
     c = CacheState(capacity_bytes=3 * E720, dim=8)
+    x, _ = c.insert(unit(0), "720p")
     e0, _ = c.insert(v, "720p")
     e1, _ = c.insert(v, "720p")
     r = c.lookup(v, "720p")
-    assert r.matched_id == e1.entry_id  # same sim, e1 more recent
+    assert r.matched_id == e1.entry_id  # same sim, e1 more recent and last
     r2 = c.lookup(v, "720p")
     assert r2.matched_id == e1.entry_id  # refresh keeps it in front
+    # Evicting x swap-removes its row, which moves e1 in front of e0.
+    _, evicted = c.insert(unit(1), "720p")
+    assert evicted == [x.entry_id]
+    part = c._parts[0]
+    assert part.ids[:2].tolist() == [e1.entry_id, e0.entry_id]
+    assert c.lookup(v, "720p").matched_id == e1.entry_id
     assert e0.entry_id in c.resident()
 
 

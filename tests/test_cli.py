@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -138,8 +139,20 @@ def test_frontier_non_finite_sample_is_domain_error(tmp_path, capsys):
     assert doc["error"] == "ParseError" and doc["message"].startswith("line 3:")
 
 
+def test_frontier_out_of_range_sample_is_domain_error(tmp_path, capsys):
+    samples = tmp_path / "s.csv"
+    samples.write_text("bandwidth_bpp,compute_flops,quality\n"
+                       "0.15,1e9,0.9\n-0.1,1e9,0.9\n")
+    code, out, err = run(capsys, "frontier", "--samples", str(samples),
+                         "--quality", "0.9", "--budget", "1e10")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError"
+    assert doc["message"] == "line 3: bandwidth_bpp must be nonnegative"
+
+
 @pytest.mark.parametrize("row", ["0.08,0.5,0", "0.08,0.5,0,0,0", "0.08,x,0,0",
-                                 "inf,0.5,0,0"])
+                                 "inf,0.5,0,0", "-0.3,0.4,0,0"])
 def test_fit_malformed_curve_is_domain_error(tmp_path, capsys, row):
     path = tmp_path / "curve.csv"
     path.write_text("capacity_gb,hit_rate,saved_flops,expected_cost_flops\n"
@@ -232,7 +245,10 @@ def test_replay_outputs_and_records(tmp_path, capsys):
     lines = [json.loads(ln) for ln in recs.read_text().splitlines()]
     assert lines == [r.to_dict() for r in expect.per_request]
     manifest = json.loads((tmp_path / "rep.json.manifest.json").read_text())
-    assert str(trace_path) in manifest["inputs"]
+    digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {str(trace_path): digest}
+    assert (tmp_path / "recs.jsonl.manifest.json").read_text() == (
+        tmp_path / "rep.json.manifest.json").read_text()
 
 
 def test_sweep_csv_matches_library(tmp_path, capsys):

@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
+import tradeoffs.sim as sim
 from tradeoffs import (
+    CacheState,
     DegeneratePoints,
     CurvePoint,
     ExponentialSaturation,
@@ -204,6 +206,43 @@ def test_sweep_parallel_matches_sequential():
     assert seq == par
 
 
+@pytest.mark.parametrize("insert_on_hit", [False, True])
+def test_sweep_and_replay_make_the_calls_the_benchmark_wraps(monkeypatch, insert_on_hit):
+    # perfbench/tracing.py times a sweep through one sim.replay call per
+    # capacity and the cache's lookup/insert calls; it breaks if they go.
+    trace = generate_trace(GeneratorConfig(
+        num_requests=300, num_clusters=10, dimension=8, noise_sigma=0.02,
+        resolution_mix={"720p": 0.5, "2k": 0.5}, seed=4))
+    counts = {"lookup": 0, "insert": 0}
+    seen = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def counted_replay(trace, config, *args, **kwargs):
+        counts.update(lookup=0, insert=0)
+        report = real_replay(trace, config, *args, **kwargs)
+        seen.append((config.capacity_bytes, counts["lookup"], counts["insert"],
+                     report.summary.hits))
+        return report
+
+    real_replay = sim.replay
+    monkeypatch.setattr(sim, "replay", counted_replay)
+    monkeypatch.setattr(CacheState, "lookup", counted("lookup", CacheState.lookup))
+    monkeypatch.setattr(CacheState, "insert", counted("insert", CacheState.insert))
+    caps = [8 * E720, 0, 2 * E720]
+    sweep(trace, SimConfig(capacity_bytes=0, insert_on_hit=insert_on_hit), caps, jobs=1)
+
+    assert [cap for cap, *_ in seen] == sorted(caps)
+    assert any(hits for *_, hits in seen)
+    for _, lookups, inserts, hits in seen:
+        assert lookups == len(trace)
+        assert inserts == len(trace) - hits + (hits if insert_on_hit else 0)
+
+
 # ---------------------------------------------------------------------------
 # curve CSV and fitting
 # ---------------------------------------------------------------------------
@@ -230,6 +269,8 @@ def test_curve_csv_rejects_wrong_header():
     ("0.08,half,0,0", "non-numeric"),
     ("inf,0.5,0,0", "values must be finite"),
     ("0.08,nan,0,0", "values must be finite"),
+    ("-0.3,0.4,0,0", "capacity must be nonnegative"),
+    ("0.08,1.5,0,0", r"hit rate must lie in \[0, 1\]"),
 ])
 def test_curve_csv_rejects_malformed_rows_on_their_line(row, fragment):
     text = "capacity_gb,hit_rate,saved_flops,expected_cost_flops\n\n0.04,0.25,0,0\n" + row + "\n"

@@ -74,6 +74,9 @@ def test_parse_errors_carry_line_numbers():
         ('{"ts":0,"id":5,"res":"720p","emb":[1]}\n', "id must be"),
         ('{"ts":0,"id":"x","res":"4k","emb":[1]}\n', "resolution"),
         ('{"ts":0,"id":"x","res":"720p","emb":"no"}\n', "emb must be"),
+        *(('{"ts":0,"id":"x","res":"720p","emb":[1,%s]}\n' % v,
+           "emb must be an array of numbers")
+          for v in ("true", "null", '"0.5"', "[1]", "{}")),
         ('[1,2,3]\n', "object"),
     ]
     for text, fragment in cases:
