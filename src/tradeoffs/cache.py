@@ -197,6 +197,7 @@ class CacheState:
     unique among resident entries: among equal similarities the most
     recently used entry wins, and eviction removes the least recently
     used entry across all partitions, with no further tie-break needed.
+    ``latent_bytes`` must cover every entry of ``RESOLUTIONS``.
     """
 
     def __init__(
@@ -212,6 +213,9 @@ class CacheState:
             raise ValueError("capacity_bytes must be nonnegative")
         if dim < 1:
             raise ValueError("dim must be at least 1")
+        missing = [res for res in RESOLUTIONS if res not in latent_bytes]
+        if missing:
+            raise ValueError(f"latent_bytes lacks {', '.join(missing)}")
         self.capacity_bytes = int(capacity_bytes)
         self.dim = int(dim)
         self.policy = policy

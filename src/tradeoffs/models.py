@@ -396,11 +396,11 @@ def _validate_fit_points(
     caps = np.asarray([m for m, _ in points], dtype=float)
     rates = np.asarray([h for _, h in points], dtype=float)
     if len(points) < 3:
-        raise ValueError("at least 3 points are required")
+        raise DegeneratePoints("at least 3 points are required")
     if np.any(caps <= 0):
-        raise ValueError("capacities must be positive")
+        raise DegeneratePoints("capacities must be positive")
     if len(np.unique(caps)) != len(caps):
-        raise ValueError("capacities must be distinct")
+        raise DegeneratePoints("capacities must be distinct")
     if np.any(rates < 0) or np.any(rates > 1):
         raise ValueError("hit rates must lie in [0, 1]")
     if np.any(rates == 1.0):
@@ -481,8 +481,10 @@ def fit_hit_rate(
     parameterizes the exponential family only. The returned residual is
     the RMS misfit in hit-rate units.
 
-    Raises :class:`DegeneratePoints` when a rate equals 1 or all rates
-    are 0.
+    Raises :class:`DegeneratePoints` for fewer than three points, a
+    capacity that is not positive, a repeated capacity, a rate equal to
+    1, or all rates 0, and ``ValueError`` for a rate outside [0, 1] or an
+    unsupported family.
     """
     caps, rates = _validate_fit_points(points)
     if family is ExponentialSaturation:

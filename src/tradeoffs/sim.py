@@ -13,13 +13,13 @@ identical reports, CSV output included.
 
 from __future__ import annotations
 
+import functools
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO, Mapping, Sequence
 
+from ._forkmap import fork_map
 from .cache import (
     DEFAULT_LATENT_BYTES,
     DEFAULT_POLICY,
@@ -301,11 +301,6 @@ class CurvePoint:
         return self.capacity_bytes / GB
 
 
-# Worker state for fork-started pools: children inherit the module
-# globals, so the trace is shared by inheritance instead of pickling.
-_SWEEP_STATE: tuple[Trace, SimConfig] | None = None
-
-
 def _sweep_point(trace: Trace, config: SimConfig, capacity: int) -> CurvePoint:
     report = replay(trace, config.with_capacity(capacity), keep_records=False)
     s = report.summary
@@ -317,11 +312,6 @@ def _sweep_point(trace: Trace, config: SimConfig, capacity: int) -> CurvePoint:
     )
 
 
-def _sweep_worker(capacity: int) -> CurvePoint:
-    trace, config = _SWEEP_STATE
-    return _sweep_point(trace, config, capacity)
-
-
 def sweep(
     trace: Trace,
     config: SimConfig,
@@ -331,9 +321,10 @@ def sweep(
     """Replay the trace once per capacity with a fresh cache each time.
 
     Rows come back ordered by capacity ascending regardless of
-    completion order. ``jobs`` > 1 runs points in parallel worker
-    processes where fork is available; results are identical either
-    way.
+    completion order. ``jobs`` > 1 shares the points among up to that
+    many processes, this one and forked workers, where fork is available
+    and the caller is neither daemonic nor running other threads; results
+    are identical either way.
     """
     if not capacities:
         raise ValueError("capacities must be non-empty")
@@ -343,25 +334,7 @@ def sweep(
     if any(c < 0 for c in caps):
         raise ValueError("capacities must be nonnegative")
     caps.sort()
-
-    use_pool = (
-        jobs is not None
-        and jobs > 1
-        and len(caps) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if not use_pool:
-        return [_sweep_point(trace, config, c) for c in caps]
-
-    global _SWEEP_STATE
-    _SWEEP_STATE = (trace, config)
-    try:
-        ctx = multiprocessing.get_context("fork")
-        workers = min(jobs, len(caps), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(_sweep_worker, caps))
-    finally:
-        _SWEEP_STATE = None
+    return fork_map(functools.partial(_sweep_point, trace, config), caps, jobs or 1)
 
 
 def fit_curve(

@@ -20,6 +20,8 @@ resolutions) is part of the format contract and must not be reordered.
 from __future__ import annotations
 
 import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -28,8 +30,15 @@ from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
+from ._forkmap import fork_map, fork_workers
 from .cache import DEFAULT_DIM, RESOLUTIONS
-from .errors import DimensionMismatch, NonFiniteEmbedding, ParseError, ZeroNormEmbedding
+from .errors import (
+    DimensionMismatch,
+    NonFiniteEmbedding,
+    ParseError,
+    TradeoffError,
+    ZeroNormEmbedding,
+)
 
 __all__ = [
     "Trace",
@@ -170,14 +179,23 @@ def _open_text(source, mode: str):
 
 _NOT_UTF8 = "not valid UTF-8"
 _JSON_NUMBERS = frozenset({int, float})
+# Trace I/O runs in one share per CPU once a trace holds more embedding
+# values than this: forking a worker costs a few ms and a value about
+# 1 us to format or parse, so small traces stay in one process.
+_SPLIT_MIN_VALUES = 1 << 16
 
 
-def _numbered_lines(stream):
-    """``enumerate(stream, 1)``, raising :class:`ParseError` for text that
+def _share_count(values: int) -> int:
+    """How many shares to split the I/O of ``values`` embedding values into."""
+    return fork_workers() if values > _SPLIT_MIN_VALUES else 1
+
+
+def _numbered_lines(stream, start: int = 1):
+    """``enumerate(stream, start)``, raising :class:`ParseError` for text that
     does not decode. It has no line number: the decoder reads ahead in
     chunks, so the failing line is not the one being counted."""
     try:
-        yield from enumerate(stream, start=1)
+        yield from enumerate(stream, start)
     except UnicodeDecodeError:
         raise ParseError(_NOT_UTF8) from None
 
@@ -223,21 +241,27 @@ def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callabl
     return records
 
 
-def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> Trace:
-    """Parse a JSON-lines trace from a path, text stream, or byte stream.
+class _Records:
+    """The columns of parsed trace lines, each record with its line number.
 
-    The input is read one line at a time. ``dimension``, if given,
-    overrides inference and every record must conform. Raises
-    :class:`ParseError` with the 1-based line number for malformed
-    lines (NaN, infinite and out-of-range embedding values included;
-    text that is not UTF-8 has a line number only in a byte stream),
-    :class:`DimensionMismatch` for wrong-length embeddings, and
-    :class:`ZeroNormEmbedding` for zero vectors.
+    ``dim`` is the dimension every record must have, or None until a
+    header or the first record fixes it. ``headers`` is False for a share
+    of a file that starts after its first record, where a header is out
+    of place. ``lines`` is the number of the last line read.
     """
-    ts, ids, res, embs, linenos = [], [], [], [], []
-    dim = dimension
-    with _open_text(source, "r") as stream:
-        for lineno, line in _numbered_lines(stream):
+
+    def __init__(self, dim: int | None, headers: bool = True):
+        self.dim = dim
+        self.headers = headers
+        self.ts, self.ids, self.res, self.embs, self.linenos = [], [], [], [], []
+        self.lines = 0
+
+    def read(self, numbered_lines) -> None:
+        """Parse ``(line number, line)`` pairs, raising on the first bad line."""
+        ts, ids, res, embs, linenos = self.ts, self.ids, self.res, self.embs, self.linenos
+        dim = self.dim
+        for lineno, line in numbered_lines:
+            self.lines = lineno
             if not line.strip():
                 continue
             try:
@@ -250,7 +274,7 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
                 raise ParseError("record must be a JSON object", line_number=lineno)
             if "dim" in obj and "ts" not in obj:
                 # Header line; legal only before any record.
-                if ts:
+                if ts or not self.headers:
                     raise ParseError("header after records", line_number=lineno)
                 if not isinstance(obj["dim"], int) or obj["dim"] < 1:
                     raise ParseError("dim must be a positive integer", line_number=lineno)
@@ -258,7 +282,7 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
                     raise DimensionMismatch(
                         f"header dim {obj['dim']} != expected {dim}"
                     )
-                dim = obj["dim"]
+                dim = self.dim = obj["dim"]
                 continue
             missing = {"ts", "id", "res", "emb"} - obj.keys()
             if missing:
@@ -276,7 +300,7 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
             if not isinstance(emb, list) or not set(map(type, emb)) <= _JSON_NUMBERS:
                 raise ParseError("emb must be an array of numbers", line_number=lineno)
             if dim is None:
-                dim = len(emb)
+                dim = self.dim = len(emb)
             if len(emb) != dim:
                 raise DimensionMismatch(
                     f"line {lineno}: embedding has {len(emb)} values, expected {dim}"
@@ -290,34 +314,158 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
             res.append(obj["res"])
             linenos.append(lineno)
 
-    if dim is None:
-        dim = DEFAULT_DIM
-    emb_matrix = np.stack(embs) if embs else np.zeros((0, dim))
-    finite = np.isfinite(emb_matrix).all(axis=1)
+    def columns(self) -> tuple:
+        """``(ts, ids, res, embedding matrix, line numbers, lines)``."""
+        emb = np.stack(self.embs) if self.embs else np.zeros((0, self.dim or DEFAULT_DIM))
+        return self.ts, self.ids, self.res, emb, self.linenos, self.lines
+
+
+def _trace_of(parts: list[tuple], dim: int | None) -> Trace:
+    """The trace of ``(ts, ids, res, embedding matrix, line numbers)``
+    parts in file order; a non-finite value is a :class:`ParseError` on
+    the line of the first record that holds one."""
+    ts, ids, res, linenos = ([x for part in parts for x in part[i]] for i in (0, 1, 2, 4))
+    embs = parts[0][3] if len(parts) == 1 else np.concatenate([part[3] for part in parts])
+    finite = np.isfinite(embs).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ParseError("emb values must be finite", line_number=linenos[bad])
-    return Trace(ts, ids, res, emb_matrix, dimension=dim)
+    return Trace(ts, ids, res, embs, dimension=dim or DEFAULT_DIM)
+
+
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of an unbuffered binary file."""
+
+    def __init__(self, raw: io.RawIOBase, size: int):
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self._raw.readinto(memoryview(buf)[: self._left])
+        self._left -= n
+        return n
+
+
+def _utf8_lines(buffered) -> io.TextIOWrapper:
+    # The decoding and universal newlines of open(path, "r", encoding="utf-8").
+    return io.TextIOWrapper(buffered, encoding="utf-8")
+
+
+def _read_share(path, dim: int, start: int, stop: int, first_line: int = 1) -> _Records:
+    """Parse bytes ``[start, stop)`` of a trace file that come after its
+    first record, numbering their lines from ``first_line``."""
+    records = _Records(dim, headers=False)
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        lines = _utf8_lines(io.BufferedReader(_ByteRange(raw, stop - start)))
+        records.read(_numbered_lines(lines, first_line))
+    return records
+
+
+def _share_columns(path, dim: int, share: tuple[int, int]) -> tuple | None:
+    """A share's columns, with lines numbered from 1 within the share, or
+    None if it holds an error (its parent raises it; see ``_load_file``)."""
+    try:
+        return _read_share(path, dim, *share).columns()
+    except TradeoffError:
+        return None
+
+
+def _load_file(path, dimension: int | None) -> Trace:
+    """``load_trace`` of a regular file, parsed in shares.
+
+    The header or first record is read here and fixes the dimension. The
+    rest of the file is cut after a newline into one share per worker,
+    and each share is parsed by ``_share_columns``. A share that holds an
+    error is parsed again here with its absolute line numbers, so the
+    first error in file order is raised as one pass over the file raises
+    it.
+    """
+    head = _Records(dimension)
+    with open(path, "rb") as f:
+        first = b""
+        while not head.ts:
+            first = f.readline()
+            if not first:
+                break
+            head.read(_numbered_lines(_utf8_lines(io.BytesIO(first)), head.lines + 1))
+        start, size = f.tell(), os.fstat(f.fileno()).st_size
+        ways = _share_count(head.dim * (size - start) // len(first)) if head.ts else 1
+        cuts = [start]
+        for i in range(1, ways):
+            f.seek(start + (size - start) * i // ways)
+            f.readline()
+            cuts.append(f.tell())
+        cuts.append(size)
+    shares = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    parts = fork_map(functools.partial(_share_columns, path, head.dim), shares, ways)
+
+    out, offset = [head.columns()], head.lines
+    for (a, b), part in zip(shares, parts):
+        if part is None:
+            # Parse the share again, its lines numbered from where it
+            # starts in the file, to raise its error on the right line.
+            _read_share(path, head.dim, a, b, offset + 1)
+            raise ParseError("trace file changed while it was read")
+        ts, ids, res, emb, linenos, lines = part
+        out.append((ts, ids, res, emb, [offset + n for n in linenos]))
+        offset += lines
+    return _trace_of(out, head.dim)
+
+
+def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> Trace:
+    """Parse a JSON-lines trace from a path, text stream, or byte stream.
+
+    The input is read one line at a time; a large regular file is read
+    in one share per CPU, in forked workers (see ``_load_file``), with
+    the same result and the same errors. ``dimension``, if given,
+    overrides inference and every record must conform. Raises
+    :class:`ParseError` with the 1-based line number for malformed
+    lines (NaN, infinite and out-of-range embedding values included;
+    text that is not UTF-8 has a line number only in a byte stream),
+    :class:`DimensionMismatch` for wrong-length embeddings, and
+    :class:`ZeroNormEmbedding` for zero vectors.
+    """
+    if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
+        return _load_file(source, dimension)
+    records = _Records(dimension)
+    with _open_text(source, "r") as stream:
+        records.read(_numbered_lines(stream))
+    return _trace_of([records.columns()], records.dim)
+
+
+def _format_rows(trace: Trace, rows: tuple[int, int]) -> list[str]:
+    start, stop = rows
+    # One row at a time: a whole-matrix tolist() holds every float at once.
+    return [
+        json.dumps({"ts": ts, "id": rid, "res": res, "emb": emb.tolist()}, separators=(",", ":"))
+        for ts, rid, res, emb in zip(
+            trace.timestamps[start:stop].tolist(),
+            trace.request_ids[start:stop],
+            trace.resolutions[start:stop],
+            trace.embeddings[start:stop],
+        )
+    ]
 
 
 def serialize_trace(trace: Trace) -> str:
     """Render a trace back to JSON-lines text, header line included.
 
     Floats are written in shortest round-trip form, so
-    ``load_trace(serialize_trace(t)) == t`` exactly.
+    ``load_trace(serialize_trace(t)) == t`` exactly. A large trace is
+    formatted in one share of rows per CPU, in forked workers; the text
+    is the same.
     """
+    n = len(trace)
+    ways = min(_share_count(n * trace.dimension), n)
+    shares = [(n * i // ways, n * (i + 1) // ways) for i in range(ways)]
     lines = [json.dumps({"dim": trace.dimension}, separators=(",", ":"))]
-    for ts, rid, res, emb in zip(
-        trace.timestamps.tolist(), trace.request_ids, trace.resolutions, trace.embeddings
-    ):
-        # One row at a time: a whole-matrix tolist() holds every float at once.
-        lines.append(
-            json.dumps(
-                {"ts": ts, "id": rid, "res": res, "emb": emb.tolist()},
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + "\n"
+    for part in fork_map(functools.partial(_format_rows, trace), shares, ways):
+        lines += part
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def save_trace(trace: Trace, dest: str | os.PathLike | IO) -> None:

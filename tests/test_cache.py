@@ -232,6 +232,11 @@ def test_entry_byte_sizes():
     assert c.occupied_bytes == 80_000_000
 
 
+def test_partial_latent_bytes_map_is_rejected():
+    with pytest.raises(ValueError, match="latent_bytes lacks 1080p, 2k"):
+        CacheState(capacity_bytes=10**10, dim=2, latent_bytes={"720p": 1})
+
+
 def test_lru_hand_trace():
     c = CacheState(capacity_bytes=2 * E720, dim=8)
     a, ev = c.insert(unit(0), "720p")

@@ -151,16 +151,23 @@ def test_frontier_out_of_range_sample_is_domain_error(tmp_path, capsys):
     assert doc["message"] == "line 3: bandwidth_bpp must be nonnegative"
 
 
-@pytest.mark.parametrize("row", ["0.08,0.5,0", "0.08,0.5,0,0,0", "0.08,x,0,0",
-                                 "inf,0.5,0,0", "-0.3,0.4,0,0"])
-def test_fit_malformed_curve_is_domain_error(tmp_path, capsys, row):
+@pytest.mark.parametrize("row, error, message", [
+    *(pytest.param(row, "ParseError", "line 3:", id=row) for row in (
+        "0.08,0.5,0", "0.08,0.5,0,0,0", "0.08,x,0,0", "inf,0.5,0,0", "-0.3,0.4,0,0")),
+    # A capacity-0 row is one that sweep itself writes.
+    pytest.param("0,0.1,0,0", "DegeneratePoints", "capacities must be positive", id="0,0.1,0,0"),
+    pytest.param("0.04,0.5,0,0", "DegeneratePoints", "capacities must be distinct",
+                 id="0.04,0.5,0,0"),
+    pytest.param("", "DegeneratePoints", "at least 3 points", id="two-rows"),
+])
+def test_fit_malformed_curve_is_domain_error(tmp_path, capsys, row, error, message):
     path = tmp_path / "curve.csv"
     path.write_text("capacity_gb,hit_rate,saved_flops,expected_cost_flops\n"
                     "0.04,0.25,0,0\n" + row + "\n0.16,0.75,0,0\n")
     code, out, err = run(capsys, "fit", "--curve", str(path), "--family", "exp")
     assert code == 1 and out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ParseError" and doc["message"].startswith("line 3:")
+    assert doc["error"] == error and doc["message"].startswith(message)
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -353,11 +353,11 @@ def test_fit_degenerate_points():
 
 
 def test_fit_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegeneratePoints):
         fit_hit_rate([(1.0, 0.5), (2.0, 0.6)], ExponentialSaturation)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegeneratePoints):
         fit_hit_rate([(1.0, 0.5), (1.0, 0.6), (2.0, 0.7)], PowerLaw)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegeneratePoints):
         fit_hit_rate([(0.0, 0.1), (1.0, 0.5), (2.0, 0.7)], PowerLaw)
     with pytest.raises(ValueError):
         fit_hit_rate([(1.0, 0.5), (2.0, 0.6), (3.0, 0.7)], EmpiricalHitRate)

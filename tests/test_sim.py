@@ -3,7 +3,9 @@ import io
 import numpy as np
 import pytest
 
+import tradeoffs.cli as cli
 import tradeoffs.sim as sim
+import tradeoffs.workload as workload
 from tradeoffs import (
     CacheState,
     DegeneratePoints,
@@ -241,6 +243,35 @@ def test_sweep_and_replay_make_the_calls_the_benchmark_wraps(monkeypatch, insert
     for _, lookups, inserts, hits in seen:
         assert lookups == len(trace)
         assert inserts == len(trace) - hits + (hits if insert_on_hit else 0)
+
+
+def test_cli_stages_make_the_calls_the_benchmark_wraps(monkeypatch, tmp_path, capsys):
+    # perfbench/tracing.py times the CLI stages through these names, which
+    # the handlers look up at call time; it breaks if a call goes.
+    calls = []
+    targets = [(cli, "generate_trace"), (cli, "save_trace"), (workload, "serialize_trace"),
+               (cli, "load_trace"), (cli, "replay"), (sim, "replay"), (cli, "sweep"),
+               (cli, "write_curve_csv"), (cli, "read_curve_csv"), (cli, "fit_hit_rate")]
+    for owner, name in targets:
+        def wrapper(*args, _call=getattr(owner, name), _name=f"{owner.__name__}.{name}", **kw):
+            calls.append(_name.removeprefix("tradeoffs."))
+            return _call(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+    trace, curve = str(tmp_path / "t.jsonl"), str(tmp_path / "c.csv")
+    stages = [
+        (["gen", "--out", trace, "--n", "300", "--clusters", "5", "--dim", "8"],
+         ["cli.generate_trace", "cli.save_trace", "workload.serialize_trace"]),
+        (["replay", "--trace", trace, "--capacity", "160MB"], ["cli.load_trace", "cli.replay"]),
+        (["sweep", "--trace", trace, "--capacities", "80MB,160MB,320MB", "--jobs", "1",
+          "--out", curve],
+         ["cli.load_trace", "cli.sweep", *["sim.replay"] * 3, "cli.write_curve_csv"]),
+        (["fit", "--curve", curve, "--family", "exp"],
+         ["cli.read_curve_csv", "cli.fit_hit_rate"]),
+    ]
+    for argv, expected in stages:
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == expected
 
 
 # ---------------------------------------------------------------------------

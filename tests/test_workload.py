@@ -1,9 +1,12 @@
 import io
+import json
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import tradeoffs._forkmap as forkmap
+import tradeoffs.workload as workload
 from tradeoffs import (
     DimensionMismatch,
     GeneratorConfig,
@@ -66,20 +69,22 @@ def test_explicit_dimension_argument_wins():
         _load('{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n', dimension=3)
 
 
+PARSE_ERROR_CASES = [
+    ("not json\n", "line 1"),
+    ('{"ts":0,"id":"x","res":"720p"}\n', "missing keys: emb"),
+    ('{"ts":"0","id":"x","res":"720p","emb":[1]}\n', "ts must be"),
+    ('{"ts":0,"id":5,"res":"720p","emb":[1]}\n', "id must be"),
+    ('{"ts":0,"id":"x","res":"4k","emb":[1]}\n', "resolution"),
+    ('{"ts":0,"id":"x","res":"720p","emb":"no"}\n', "emb must be"),
+    *(('{"ts":0,"id":"x","res":"720p","emb":[1,%s]}\n' % v,
+       "emb must be an array of numbers")
+      for v in ("true", "null", '"0.5"', "[1]", "{}")),
+    ('[1,2,3]\n', "object"),
+]
+
+
 def test_parse_errors_carry_line_numbers():
-    cases = [
-        ("not json\n", "line 1"),
-        ('{"ts":0,"id":"x","res":"720p"}\n', "missing keys: emb"),
-        ('{"ts":"0","id":"x","res":"720p","emb":[1]}\n', "ts must be"),
-        ('{"ts":0,"id":5,"res":"720p","emb":[1]}\n', "id must be"),
-        ('{"ts":0,"id":"x","res":"4k","emb":[1]}\n', "resolution"),
-        ('{"ts":0,"id":"x","res":"720p","emb":"no"}\n', "emb must be"),
-        *(('{"ts":0,"id":"x","res":"720p","emb":[1,%s]}\n' % v,
-           "emb must be an array of numbers")
-          for v in ("true", "null", '"0.5"', "[1]", "{}")),
-        ('[1,2,3]\n', "object"),
-    ]
-    for text, fragment in cases:
+    for text, fragment in PARSE_ERROR_CASES:
         with pytest.raises(ParseError, match=fragment):
             _load(text)
 
@@ -175,6 +180,139 @@ def test_crlf_path_loads_the_same_trace(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(serialize_trace(tr).replace("\n", "\r\n").encode("utf-8"))
     assert load_trace(path) == tr
+
+
+# ---------------------------------------------------------------------------
+# trace I/O in shares
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def split_io(monkeypatch):
+    """Trace I/O in three shares on forked workers, whatever the trace
+    size; the list it gives holds the share count of each split."""
+    monkeypatch.setattr(workload, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 3)
+    if forkmap.fork_workers() < 3:
+        pytest.skip("this platform cannot fork workers")
+    shares = []
+
+    def counted(fn, items, workers):
+        shares.append(len(items))
+        return forkmap.fork_map(fn, items, workers)
+
+    monkeypatch.setattr(workload, "fork_map", counted)
+    return shares
+
+
+def _mixed_trace(n, dim, seed=3):
+    return generate_trace(GeneratorConfig(
+        num_requests=n, num_clusters=5, dimension=dim, seed=seed,
+        resolution_mix={"720p": 0.5, "1080p": 0.3, "2k": 0.2}))
+
+
+@pytest.mark.parametrize("n, dim", [(0, 4), (1, 4), (2, 3), (3, 8), (10, 1), (101, 16)])
+def test_serialize_in_shares_is_byte_identical(request, n, dim):
+    trace = _mixed_trace(n, dim)
+    records = [{"dim": dim}] + [
+        {"ts": int(trace.timestamps[i]), "id": trace.request_ids[i],
+         "res": trace.resolutions[i], "emb": [float(v) for v in trace.embeddings[i]]}
+        for i in range(n)
+    ]
+    one_share = serialize_trace(trace)
+    assert one_share == "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    shares = request.getfixturevalue("split_io")
+    assert serialize_trace(trace) == one_share
+    assert shares == [min(n, 3)]
+
+
+def test_load_in_shares_equals_serial_load(tmp_path, split_io):
+    trace = _mixed_trace(200, 12)
+    text = serialize_trace(trace)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert load_trace(path) == _load(text) == trace
+    assert load_trace(path, dimension=12) == trace
+    # No header: the first record fixes the dimension.
+    path.write_text("\n\n" + text.split("\n", 1)[1])
+    assert load_trace(path) == trace
+    assert split_io[1:] == [3, 3, 3]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_in_shares_reads_crlf_and_cr_files(tmp_path, split_io, newline):
+    trace = _mixed_trace(60, 6)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(serialize_trace(trace).replace("\n", newline).encode("utf-8"))
+    assert load_trace(path) == trace
+    # Without a "\n" to cut after, a file of lone "\r" stays one piece.
+    assert split_io[1:] == [3 if newline == "\r\n" else 0]
+
+
+def test_small_traces_stay_in_one_share(tmp_path, monkeypatch):
+    shares = []
+    monkeypatch.setattr(workload, "fork_map",
+                        lambda fn, items, workers: shares.append(len(items)) or list(map(fn, items)))
+    trace = _mixed_trace(400, 64)  # 25,600 values
+    save_trace(trace, tmp_path / "t.jsonl")
+    assert load_trace(tmp_path / "t.jsonl") == trace
+    assert shares == [1, 1]
+
+
+def _late_error_text(bad_line, newline="\n"):
+    """A header, 90 good records, then ``bad_line`` and 9 more records:
+    with three shares the bad line lies in the last one."""
+    good = ['{"ts":%d,"id":"r%d","res":"720p","emb":[0.6,0.8]}' % (i, i) for i in range(100)]
+    lines = ['{"dim":2}', *good[:90], bad_line, *good[90:]]
+    return newline.join(lines) + newline
+
+
+def _error_of(load):
+    with pytest.raises((ParseError, DimensionMismatch)) as exc:
+        load()
+    return type(exc.value), str(exc.value), exc.value
+
+
+LATE_ERRORS = [text.rstrip("\n") for text, _ in PARSE_ERROR_CASES] + [
+    '{"dim":2}',
+    '{"ts":0,"id":"x","res":"720p","emb":[1,0,0]}',
+    '{"ts":0,"id":"x","res":"720p","emb":[NaN,1.0]}',
+    '{"ts":0,"id":"x","res":"720p","emb":[1e400,1.0]}',
+    '{"ts":0,"id":"x","res":"720p","emb":[%s,1]}' % ("1" + "0" * 400),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("bad_line", LATE_ERRORS)
+def test_error_in_a_later_share_matches_the_serial_parse(tmp_path, split_io, bad_line, newline):
+    text = _late_error_text(bad_line, newline)
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert text.rindex(bad_line) > 2 * len(text) // 3
+    serial_type, serial_message, _ = _error_of(lambda: _load(text))
+    split_type, split_message, _ = _error_of(lambda: load_trace(path))
+    assert (split_type, split_message) == (serial_type, serial_message)
+    assert "line 92" in split_message
+    assert split_io == [3]
+
+
+def test_header_right_after_the_first_record_is_out_of_place(tmp_path, split_io):
+    # The line after the first record starts the first share.
+    text = _late_error_text('{"ts":0,"id":"x","res":"720p","emb":[1,0]}')
+    lines = text.split("\n")
+    text = "\n".join([lines[0], lines[1], '{"dim":2}', *lines[2:]])
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert _error_of(lambda: load_trace(path))[:2] == (ParseError, "line 3: header after records")
+
+
+def test_non_utf8_in_a_later_share_is_parse_error(tmp_path, split_io):
+    text = _late_error_text('{"ts":0,"id":"@","res":"720p","emb":[1,0]}')
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8").replace(b"@", b"\xff"))
+    _, message, error = _error_of(lambda: load_trace(path))
+    assert message == "not valid UTF-8" and error.line_number is None
+    assert split_io == [3]
 
 
 def test_trace_equality_detects_differences():
