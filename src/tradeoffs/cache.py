@@ -150,12 +150,20 @@ class LookupResult(NamedTuple):
 
 
 class _Partition:
-    """Packed rows of the entries one lookup scores; rows [0, n) are live."""
+    """Packed rows of the entries one lookup scores; rows [0, n) are live.
+
+    ``lru`` is the row of the least recently used live entry, or None
+    when unknown, and ``lru_used`` is that entry's ``last_used``. It
+    stays valid across appends, since a new entry is always the most
+    recent, and is forgotten when rows move or when a hit refreshes
+    that row.
+    """
 
     COLUMNS = ("emb", "ids", "last_used", "sizes", "res")
 
     def __init__(self, dim: int):
         self.n = 0
+        self.lru = self.lru_used = None
         self.emb = np.zeros((64, dim))
         self.ids, self.last_used, self.sizes = np.zeros((3, 64), dtype=np.int64)
         self.res = np.zeros(64, dtype=np.int8)  # index into RESOLUTIONS
@@ -175,11 +183,13 @@ class _Partition:
 
     def swap_remove(self, row: int) -> None:
         self.n = last = self.n - 1
-        self.emb[row] = self.emb[last]
-        self.ids[row] = self.ids[last]
-        self.last_used[row] = self.last_used[last]
-        self.sizes[row] = self.sizes[last]
-        self.res[row] = self.res[last]
+        self.lru = None
+        if row != last:
+            self.emb[row] = self.emb[last]
+            self.ids[row] = self.ids[last]
+            self.last_used[row] = self.last_used[last]
+            self.sizes[row] = self.sizes[last]
+            self.res[row] = self.res[last]
 
 
 class CacheState:
@@ -280,32 +290,35 @@ class CacheState:
 
         n = part.n
         if n == 0:
-            return LookupResult(False, 0, None, None, tick)
+            # LookupResult._make skips the argument parsing of the generated __new__.
+            return LookupResult._make((False, 0, None, None, tick))
         # ndarray.dot is the same BLAS matvec as ``@`` without the ufunc dispatch.
         sims = part.emb[:n].dot(vec)
         row = sims.argmax()
         if n - 1 - sims[::-1].argmax() != row:  # the first and last maxima differ: a tie
             tied = np.flatnonzero(sims == sims[row])
             row = tied[part.last_used[tied].argmax()]
-        best_sim = sims[row].item()
-        matched_id = part.ids[row].item()
+        best_sim = sims.item(row)
+        matched_id = part.ids.item(row)
 
         depth = self.policy.depth_for(best_sim)
         if depth > 0:
             part.last_used[row] = tick
-            return LookupResult(True, depth, best_sim, matched_id, tick)
-        return LookupResult(False, 0, best_sim, matched_id, tick)
+            if row == part.lru:
+                part.lru = None
+            return LookupResult._make((True, depth, best_sim, matched_id, tick))
+        return LookupResult._make((False, 0, best_sim, matched_id, tick))
 
     def insert(
         self, embedding, resolution: str, byte_size: int | None = None
-    ) -> tuple[CacheEntry, list[int]]:
+    ) -> tuple[int, list[int]]:
         """Add an entry, evicting LRU victims until it fits.
 
         ``byte_size`` defaults to ``entry_byte_size(resolution)``.
-        Returns a snapshot of the new entry and the ids evicted by this
-        insert, in eviction order. Raises :class:`EntryTooLarge` before
-        consuming a tick or evicting anything when the entry alone
-        exceeds the budget.
+        Returns the new entry's id and the ids evicted by this insert,
+        in eviction order; the embedding is copied into the cache.
+        Raises :class:`EntryTooLarge` before consuming a tick or evicting
+        anything when the entry alone exceeds the budget.
         """
         vec = self._check_vec(embedding)
         part = self._partition(resolution)
@@ -329,21 +342,24 @@ class CacheState:
         self._next_id += 1
         part.append(vec, entry_id, tick, byte_size, _RES_CODE[resolution])
         self.occupied_bytes += byte_size
-        # normalize() may hand back the caller's array; the snapshot must not alias it.
-        entry = CacheEntry(entry_id, vec.copy(), resolution, byte_size, self.stored_depths, tick)
-        return entry, evicted
+        return entry_id, evicted
 
     def _evict_one(self) -> int:
-        """Remove the least recently used entry of any partition; return its id."""
-        victim = oldest = None
+        """Remove the least recently used entry of any partition; return its id.
+
+        Only partitions that do not remember their LRU row rescan for it.
+        """
+        victim = None
         for part in self._parts:
             if part.n:
-                row = part.last_used[: part.n].argmin()
-                if victim is None or part.last_used[row] < oldest:
-                    victim, oldest = (part, row), part.last_used[row]
-        part, row = victim
-        victim_id = part.ids[row].item()
-        self.occupied_bytes -= part.sizes[row].item()
-        part.swap_remove(row)
+                if part.lru is None:
+                    part.lru = row = part.last_used[: part.n].argmin()
+                    part.lru_used = part.last_used.item(row)
+                if victim is None or part.lru_used < victim.lru_used:
+                    victim = part
+        row = victim.lru
+        victim_id = victim.ids.item(row)
+        self.occupied_bytes -= victim.sizes.item(row)
+        victim.swap_remove(row)
         self.evictions += 1
         return victim_id

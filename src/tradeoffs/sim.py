@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import IO, Mapping, Sequence
@@ -95,8 +96,8 @@ class SimConfig:
             if missing:
                 raise ValueError(f"{name} lacks {', '.join(missing)}")
         for res, c in self.step_cost_by_resolution.items():
-            if c <= 0:
-                raise ValueError(f"step cost for {res} must be positive")
+            if not (math.isfinite(c) and c > 0):
+                raise ValueError(f"step cost for {res} must be positive and finite")
         for res, b in self.latent_bytes_by_resolution.items():
             if b <= 0:
                 raise ValueError(f"latent size for {res} must be positive")
@@ -209,14 +210,15 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     total_saved = 0.0
     total_full = 0.0
     peak = 0
+    # Bound once per replay: every call still goes through whatever
+    # CacheState.lookup/insert are when the replay starts, wrappers included.
+    lookup, insert = cache.lookup, cache.insert
 
-    for i in range(len(trace)):
-        emb = trace.embeddings[i]
-        res = trace.resolutions[i]
+    for rid, emb, res in zip(trace.request_ids, trace.embeddings, trace.resolutions):
         step_cost = config.step_cost_by_resolution[res]
         total_full += config.total_steps * step_cost
 
-        found = cache.lookup(emb, res)
+        found = lookup(emb, res)
         evicted: tuple[int, ...] = ()
         if found.hit:
             outcome = "hit"
@@ -226,15 +228,13 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
             total_saved += saved
             if config.insert_on_hit:
                 try:
-                    _, ev = cache.insert(emb, res)
-                    evicted = tuple(ev)
+                    evicted = tuple(insert(emb, res)[1])
                 except EntryTooLarge:
                     pass
         else:
             saved = 0.0
             try:
-                _, ev = cache.insert(emb, res)
-                evicted = tuple(ev)
+                evicted = tuple(insert(emb, res)[1])
                 outcome = "miss"
             except EntryTooLarge:
                 outcome = "too_large"
@@ -243,7 +243,7 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
         if keep_records:
             records.append(
                 PerRequestRecord(
-                    request_id=trace.request_ids[i],
+                    request_id=rid,
                     outcome=outcome,
                     matched_id=found.matched_id,
                     similarity=found.similarity,
@@ -324,8 +324,13 @@ def sweep(
     completion order. ``jobs`` > 1 shares the points among up to that
     many processes, this one and forked workers, where fork is available
     and the caller is neither daemonic nor running other threads; results
-    are identical either way.
+    are identical either way. ``None`` means 1; below 1 is a
+    ``ValueError``.
     """
+    if jobs is None:
+        jobs = 1
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not capacities:
         raise ValueError("capacities must be non-empty")
     caps = [int(c) for c in capacities]
@@ -334,7 +339,7 @@ def sweep(
     if any(c < 0 for c in caps):
         raise ValueError("capacities must be nonnegative")
     caps.sort()
-    return fork_map(functools.partial(_sweep_point, trace, config), caps, jobs or 1)
+    return fork_map(functools.partial(_sweep_point, trace, config), caps, jobs)
 
 
 def fit_curve(

@@ -200,9 +200,15 @@ def _numbered_lines(stream, start: int = 1):
         raise ParseError(_NOT_UTF8) from None
 
 
+# Text is written in slices of this many characters, so a path's encoder
+# never holds a second, encoded copy of a whole trace.
+_WRITE_SLICE = 1 << 20
+
+
 def _write_text(dest: str | os.PathLike | IO, text: str) -> None:
     with _open_text(dest, "w") as stream:
-        stream.write(text)
+        for start in range(0, len(text), _WRITE_SLICE):
+            stream.write(text[start : start + _WRITE_SLICE])
 
 
 def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callable) -> list:

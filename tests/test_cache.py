@@ -52,13 +52,12 @@ def test_normalize_leaves_its_input_unchanged():
     assert np.allclose(out, [0.6, 0.8])
 
 
-def test_insert_snapshot_does_not_alias_the_caller_array():
+def test_mutating_the_caller_array_after_insert_leaves_the_cache_unchanged():
     v = unit(2)
     c = CacheState(capacity_bytes=E720, dim=8)
-    entry, _ = c.insert(v, "720p")
-    assert not np.shares_memory(entry.embedding, v)
+    entry_id, _ = c.insert(v, "720p")
     v[2] = 0.5
-    assert entry.embedding[2] == 1.0
+    assert c.resident()[entry_id].embedding.tolist() == unit(2).tolist()
     assert c.lookup(unit(2), "720p").depth == 25
 
 
@@ -141,9 +140,9 @@ def test_lookup_selects_highest_similarity():
     v97 = np.array([0.97, 0, np.sqrt(1 - 0.97**2), 0, 0, 0, 0, 0])
     c = CacheState(capacity_bytes=2 * E720, dim=8)
     c.insert(v93, "720p")
-    e97, _ = c.insert(v97, "720p")
+    id97, _ = c.insert(v97, "720p")
     r = c.lookup(q, "720p")
-    assert r.matched_id == e97.entry_id and r.depth == 25
+    assert r.matched_id == id97 and r.depth == 25
 
 
 def test_similarity_tie_prefers_most_recent():
@@ -155,29 +154,29 @@ def test_similarity_tie_prefers_most_recent():
     e0, _ = c.insert(v, "720p")
     e1, _ = c.insert(v, "720p")
     r = c.lookup(v, "720p")
-    assert r.matched_id == e1.entry_id  # same sim, e1 more recent and last
+    assert r.matched_id == e1  # same sim, e1 more recent and last
     r2 = c.lookup(v, "720p")
-    assert r2.matched_id == e1.entry_id  # refresh keeps it in front
+    assert r2.matched_id == e1  # refresh keeps it in front
     # Evicting x swap-removes its row, which moves e1 in front of e0.
     _, evicted = c.insert(unit(1), "720p")
-    assert evicted == [x.entry_id]
+    assert evicted == [x]
     part = c._parts[0]
-    assert part.ids[:2].tolist() == [e1.entry_id, e0.entry_id]
-    assert c.lookup(v, "720p").matched_id == e1.entry_id
-    assert e0.entry_id in c.resident()
+    assert part.ids[:2].tolist() == [e1, e0]
+    assert c.lookup(v, "720p").matched_id == e1
+    assert e0 in c.resident()
 
 
 def test_hit_refreshes_recency_miss_does_not():
     c = CacheState(capacity_bytes=2 * E720, dim=8)
     e, _ = c.insert(unit(0), "720p")
-    before = e.last_used
+    before = c.resident()[e].last_used
     r = c.lookup(unit(0), "720p")
-    assert r.hit and c.resident()[e.entry_id].last_used == r.tick > before
+    assert r.hit and c.resident()[e].last_used == r.tick > before
     # Sub-threshold best match: similarity known but no recency touch.
-    after_hit = c.resident()[e.entry_id].last_used
+    after_hit = c.resident()[e].last_used
     r2 = c.lookup(unit(1), "720p")
-    assert not r2.hit and r2.matched_id == e.entry_id
-    assert c.resident()[e.entry_id].last_used == after_hit
+    assert not r2.hit and r2.matched_id == e
+    assert c.resident()[e].last_used == after_hit
 
 
 def test_consecutive_identical_lookups_agree():
@@ -228,7 +227,7 @@ def test_entry_byte_sizes():
     assert c.entry_byte_size("1080p") == 200_000_000
     assert c.entry_byte_size("2k") == 350_000_000
     e, _ = c.insert(unit(0), "720p")
-    assert e.byte_size == 80_000_000
+    assert c.resident()[e].byte_size == 80_000_000
     assert c.occupied_bytes == 80_000_000
 
 
@@ -243,8 +242,8 @@ def test_lru_hand_trace():
     assert ev == []
     b, _ = c.insert(unit(1), "720p")
     _, ev = c.insert(unit(2), "720p")
-    assert ev == [a.entry_id]
-    assert set(c.resident()) == {b.entry_id, 2}
+    assert ev == [a]
+    assert set(c.resident()) == {b, 2}
 
 
 def test_lru_respects_lookup_recency():
@@ -253,7 +252,7 @@ def test_lru_respects_lookup_recency():
     b, _ = c.insert(unit(1), "720p")
     c.lookup(unit(0), "720p")  # touch a; b becomes LRU
     _, ev = c.insert(unit(2), "720p")
-    assert ev == [b.entry_id]
+    assert ev == [b]
 
 
 def test_entry_too_large_is_pre_state():
@@ -272,9 +271,37 @@ def test_multi_eviction_for_large_entry():
     b, _ = c.insert(unit(1), "720p")
     third, _ = c.insert(unit(2), "720p")
     _, ev = c.insert(unit(3), "2k")  # 240 + 350 > 500: two evictions needed
-    assert ev == [a.entry_id, b.entry_id]
-    assert third.entry_id in c.resident()
+    assert ev == [a, b]
+    assert third in c.resident()
     assert c.occupied_bytes <= c.capacity_bytes
+
+
+def test_remembered_lru_rows_follow_hits_and_swap_removes():
+    # Partitions remember their LRU row between evictions. A hit on that
+    # row and a swap_remove that moves rows must both make it rescan.
+    c = CacheState(capacity_bytes=5, dim=8)
+    ref = RefCache(5)
+    ids = {}
+
+    def insert(name, i, res):
+        got, evicted = c.insert(unit(i), res, byte_size=1)
+        assert evicted == ref.insert(unit(i).tolist(), res, 1)
+        ids[name] = got
+        return [k for k, v in ids.items() if v in evicted]
+
+    for name, i, res in (("a1", 0, "720p"), ("b1", 1, "1080p"), ("b2", 2, "1080p"),
+                         ("a2", 3, "720p"), ("a3", 4, "720p")):
+        assert insert(name, i, res) == []
+    # 720p holds a1 a2 a3 and 1080p b1 b2. Evicting a1 moves a3 into
+    # its row; 1080p was scanned too and remembers b1.
+    assert insert("c1", 5, "2k") == ["a1"]
+    # Refresh 1080p's remembered LRU entry: b2 is now the oldest resident.
+    assert c.lookup(unit(1), "1080p").matched_id == ids["b1"]
+    assert ref.lookup(unit(1).tolist(), "1080p")["matched"] == ids["b1"]
+    assert insert("c2", 6, "2k") == ["b2"]
+    # a2 is older than a3, which now sits in a1's old row.
+    assert insert("c3", 7, "2k") == ["a2"]
+    assert list(c.resident()) == sorted(e["id"] for e in ref.entries)
 
 
 def test_occupancy_invariant_under_random_ops():
@@ -357,9 +384,9 @@ class CacheVersusReference(RuleBasedStateMachine):
             with pytest.raises(EntryTooLarge):
                 self.cache.insert(POOL[k], res, size)
             return
-        entry, evicted = self.cache.insert(POOL[k], res, size)
+        entry_id, evicted = self.cache.insert(POOL[k], res, size)
         assert evicted == want
-        assert entry.entry_id == self.ref.next_id - 1
+        assert entry_id == self.ref.next_id - 1
 
     @invariant()
     def same_residents(self):

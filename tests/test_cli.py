@@ -275,6 +275,26 @@ def test_sweep_csv_matches_library(tmp_path, capsys):
     assert [r["hit_rate"] for r in rows] == [p.hit_rate for p in curve]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("replay", ["--capacity", "160MB", "--step-cost", "inf"]),
+    ("replay", ["--capacity", "160MB", "--step-cost", "nan"]),
+    ("sweep", ["--capacities", "80MB,320MB", "--step-cost", "nan"]),
+    ("sweep", ["--capacities", "80MB,320MB", "--step-cost=-inf"]),
+    ("sweep", ["--capacities", "80MB,320MB", "--jobs", "0"]),
+    ("sweep", ["--capacities", "80MB,320MB", "--jobs", "-3"]),
+])
+def test_non_finite_step_cost_and_jobs_below_one_are_usage_errors(
+        tmp_path, capsys, command, extra):
+    trace_path = tmp_path / "t.jsonl"
+    save_trace(generate_trace(GeneratorConfig(num_requests=20, num_clusters=2,
+                                              dimension=8, seed=1)), trace_path)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--trace", str(trace_path),
+                            "--out", str(out), *extra)
+    assert code == 2 and stdout == "" and "error:" in err
+    assert not out.exists()
+
+
 def test_fit_recovers_from_csv(tmp_path, capsys):
     from tradeoffs import CurvePoint
 

@@ -64,6 +64,13 @@ def test_config_rejects_bad_costs():
         SimConfig(capacity_bytes=-1)
 
 
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_step_cost(cost):
+    with pytest.raises(ValueError, match="step cost for 1080p must be positive and finite"):
+        SimConfig(capacity_bytes=0,
+                  step_cost_by_resolution={"720p": 1e9, "1080p": cost, "2k": 1e9})
+
+
 def test_config_requires_every_resolution():
     # A partial map would otherwise fail mid-replay at the first request
     # of a missing resolution.
@@ -196,6 +203,16 @@ def test_sweep_validation():
         sweep(trace, SimConfig(capacity_bytes=0), [])
     with pytest.raises(ValueError):
         sweep(trace, SimConfig(capacity_bytes=0), [E720, E720])
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_jobs_below_one(jobs):
+    trace = identical_trace(2)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sweep(trace, SimConfig(capacity_bytes=0), [E720], jobs=jobs)
+    # None means one process.
+    assert sweep(trace, SimConfig(capacity_bytes=0), [E720], jobs=None) == sweep(
+        trace, SimConfig(capacity_bytes=0), [E720], jobs=1)
 
 
 def test_sweep_parallel_matches_sequential():
