@@ -14,7 +14,6 @@ stderr; 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -51,6 +50,7 @@ from .sim import (
 )
 from .workload import (
     GeneratorConfig,
+    _file_sha256,
     _read_float_csv,
     generate_trace,
     load_trace,
@@ -77,17 +77,18 @@ def parse_bytes(text: str) -> int:
     if value < 0:
         raise ValueError("byte count must be nonnegative")
     nbytes = value * _BYTES_SUFFIX[suffix]
-    if not math.isfinite(nbytes):
+    if not nbytes < math.inf:
         raise ValueError(f"byte count {text!r} is out of range")
     return int(round(nbytes))
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _input_digest(path: str, trace) -> str | None:
+    """The SHA-256 of the trace file for a manifest: the digest
+    ``load_trace`` checked the sidecar against, else a hash of the file;
+    None for a pipe, whose bytes are gone once read."""
+    if trace.source_sha256 is None and os.path.isfile(path):
+        return _file_sha256(path)
+    return trace.source_sha256
 
 
 def _write_manifest(
@@ -98,7 +99,7 @@ def _write_manifest(
     seed: int | None = None,
 ) -> None:
     """Write ``<out_path>.manifest.json``; ``inputs`` maps each input
-    path to its SHA-256, hashed once per command by the caller."""
+    path to the SHA-256 of the bytes the command read from it."""
     doc = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -113,7 +114,8 @@ def _write_manifest(
 
 
 def _emit(doc: dict | list) -> None:
-    print(json.dumps(doc, indent=2))
+    # A NaN or infinite result is a ValueError (exit 2), not invalid JSON.
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _add_model_args(p: argparse.ArgumentParser, allow_hit: bool) -> None:
@@ -402,7 +404,7 @@ def _cmd_replay(args) -> int:
     doc = report.to_dict(include_records=False)
     params = _replay_params(args, {"capacity_bytes": capacity})
     if args.records or args.out:
-        inputs = {args.trace: _sha256(args.trace)}
+        inputs = {args.trace: _input_digest(args.trace, trace)}
     if args.records:
         with open(args.records, "w", encoding="utf-8") as f:
             for rec in report.per_request:
@@ -426,7 +428,7 @@ def _cmd_sweep(args) -> int:
     params = _replay_params(args, {"capacities_bytes": sorted(capacities)})
     if args.out:
         write_curve_csv(curve, args.out)
-        _write_manifest(args.out, "sweep", params, {args.trace: _sha256(args.trace)})
+        _write_manifest(args.out, "sweep", params, {args.trace: _input_digest(args.trace, trace)})
     _emit(
         [
             {

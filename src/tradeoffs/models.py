@@ -99,14 +99,19 @@ class DeficitParams:
     deficit_bandwidth_factor: float = 0.0
 
     def __post_init__(self):
-        if self.total_memory_gb < 0:
-            raise ValueError("total_memory_gb must be nonnegative")
-        if self.device_memory_gb < 0:
-            raise ValueError("device_memory_gb must be nonnegative")
+        # Each check is written so that NaN fails it; an int of any size passes.
+        if not 0 <= self.total_memory_gb < math.inf:
+            raise ValueError("total_memory_gb must be nonnegative and finite")
+        if not 0 <= self.device_memory_gb < math.inf:
+            raise ValueError("device_memory_gb must be nonnegative and finite")
         if self.device_count < 1:
             raise ValueError("device_count must be at least 1")
-        if self.deficit_bandwidth_factor < 0:
-            raise ValueError("deficit_bandwidth_factor must be nonnegative")
+        if not -math.inf < self.allreduce_factor < math.inf:
+            raise ValueError("allreduce_factor must be finite")
+        if not -math.inf < self.state_volume_gb < math.inf:
+            raise ValueError("state_volume_gb must be finite")
+        if not 0 <= self.deficit_bandwidth_factor < math.inf:
+            raise ValueError("deficit_bandwidth_factor must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -125,14 +130,14 @@ class CacheCostParams:
     entry_size_gb: float
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be at least 1")
-        if self.step_cost_flops <= 0:
-            raise ValueError("step_cost_flops must be positive")
+        if not 1 <= self.total_steps < math.inf:
+            raise ValueError("total_steps must be at least 1 and finite")
+        if not 0 < self.step_cost_flops < math.inf:
+            raise ValueError("step_cost_flops must be positive and finite")
         if not 0 <= self.reuse_depth <= self.total_steps:
-            raise ValueError("reuse_depth must lie in [0, total_steps]")
-        if self.entry_size_gb <= 0:
-            raise ValueError("entry_size_gb must be positive")
+            raise ValueError("reuse_depth must be finite and lie in [0, total_steps]")
+        if not 0 < self.entry_size_gb < math.inf:
+            raise ValueError("entry_size_gb must be positive and finite")
 
     @property
     def full_cost_flops(self) -> float:
@@ -167,6 +172,8 @@ class HitRateModel(abc.ABC):
     def _check_capacity(capacity_gb: float) -> float:
         if capacity_gb < 0:
             raise NegativeCapacity(f"capacity must be >= 0, got {capacity_gb}")
+        if not capacity_gb < math.inf:  # NaN or infinite
+            raise ValueError(f"capacity must be finite, got {capacity_gb}")
         return float(capacity_gb)
 
 
@@ -178,10 +185,10 @@ class ExponentialSaturation(HitRateModel):
     entry_size_gb: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.entry_size_gb <= 0:
-            raise ValueError("entry_size_gb must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0 < self.entry_size_gb < math.inf:
+            raise ValueError("entry_size_gb must be positive and finite")
 
     def hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)
@@ -201,10 +208,10 @@ class PowerLaw(HitRateModel):
     gamma: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
     def hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)

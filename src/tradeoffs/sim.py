@@ -78,10 +78,11 @@ class SimConfig:
     cross_resolution_match: bool = False
 
     def __post_init__(self):
-        if self.capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be nonnegative")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be at least 1")
+        # Written so that NaN fails each check; an int of any size passes.
+        if not 0 <= self.capacity_bytes < math.inf:
+            raise ValueError("capacity_bytes must be nonnegative and finite")
+        if not 1 <= self.total_steps < math.inf:
+            raise ValueError("total_steps must be at least 1 and finite")
         depths = tuple(sorted(int(d) for d in self.stored_depths))
         if not depths:
             raise ValueError("stored_depths must be non-empty")
@@ -96,11 +97,11 @@ class SimConfig:
             if missing:
                 raise ValueError(f"{name} lacks {', '.join(missing)}")
         for res, c in self.step_cost_by_resolution.items():
-            if not (math.isfinite(c) and c > 0):
+            if not 0 < c < math.inf:
                 raise ValueError(f"step cost for {res} must be positive and finite")
         for res, b in self.latent_bytes_by_resolution.items():
-            if b <= 0:
-                raise ValueError(f"latent size for {res} must be positive")
+            if not 0 < b < math.inf:
+                raise ValueError(f"latent size for {res} must be positive and finite")
         object.__setattr__(self, "stored_depths", depths)
         object.__setattr__(self, "step_cost_by_resolution", dict(self.step_cost_by_resolution))
         object.__setattr__(

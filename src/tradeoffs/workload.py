@@ -5,7 +5,8 @@ requests. On disk it is UTF-8 JSON-lines: an optional first header line
 ``{"dim": D}`` followed by one record per line with keys ``ts`` (integer
 milliseconds), ``id`` (string), ``res`` (one of "720p"|"1080p"|"2k"),
 and ``emb`` (array of decimals of length D). Without a header the
-dimension comes from the first record.
+dimension comes from the first record. A trace saved to a path also
+gets a sidecar cache of its columns; see ``save_trace``.
 
 The generator synthesizes request streams with tunable repetition:
 cluster centers drawn uniformly on the unit sphere, cluster popularity
@@ -21,10 +22,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import IO, Callable, Mapping, Sequence
 
@@ -60,7 +63,13 @@ class Trace:
     bit-for-bit, which makes save/load a round trip. Raises
     :class:`ZeroNormEmbedding` for a zero embedding and
     :class:`NonFiniteEmbedding` for one whose norm is NaN or infinite.
+
+    ``source_sha256`` is the SHA-256 (hex) of the file :func:`load_trace`
+    read the trace from when it checked a sidecar against it, and None
+    for any other trace; equality ignores it.
     """
+
+    source_sha256: str | None = None
 
     def __init__(
         self,
@@ -152,28 +161,28 @@ class GeneratorConfig:
             raise ValueError("num_clusters must be at least 1")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.zipf_exponent < 0:
-            raise ValueError("zipf_exponent must be nonnegative")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.zipf_exponent < math.inf:
+            raise ValueError("zipf_exponent must be finite and nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         mix = dict(self.resolution_mix)
         if not mix:
             raise ValueError("resolution_mix must be non-empty")
         for res, p in mix.items():
             if res not in RESOLUTIONS:
                 raise ValueError(f"unknown resolution {res!r}")
-            if p < 0:
-                raise ValueError("resolution probabilities must be nonnegative")
+            if not 0 <= p < math.inf:
+                raise ValueError("resolution probabilities must be finite and nonnegative")
         if abs(sum(mix.values()) - 1.0) > 1e-9:
             raise ValueError("resolution_mix probabilities must sum to 1")
         object.__setattr__(self, "resolution_mix", mix)
 
 
-def _open_text(source, mode: str):
-    """A context manager over ``source``: a path is opened as UTF-8 text
-    and closed on exit; a stream is used as is and left open."""
+def _open_text(source):
+    """A context manager over ``source``: a path is opened for reading as
+    UTF-8 text and closed on exit; a stream is used as is and left open."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, mode, encoding="utf-8")
+        return open(source, encoding="utf-8")
     return contextlib.nullcontext(source)
 
 
@@ -205,10 +214,20 @@ def _numbered_lines(stream, start: int = 1):
 _WRITE_SLICE = 1 << 20
 
 
-def _write_text(dest: str | os.PathLike | IO, text: str) -> None:
-    with _open_text(dest, "w") as stream:
-        for start in range(0, len(text), _WRITE_SLICE):
-            stream.write(text[start : start + _WRITE_SLICE])
+def _write_text(dest: str | os.PathLike | IO, text: str) -> str | None:
+    """Write ``text`` to a text stream, or to a path as UTF-8; for a path,
+    return the SHA-256 (hex) of the bytes written."""
+    slices = (text[start : start + _WRITE_SLICE] for start in range(0, len(text), _WRITE_SLICE))
+    if not isinstance(dest, (str, os.PathLike)):
+        dest.writelines(slices)
+        return None
+    digest = hashlib.sha256()
+    with open(dest, "wb") as f:
+        for part in slices:
+            data = part.encode("utf-8")
+            digest.update(data)
+            f.write(data)
+    return digest.hexdigest()
 
 
 def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callable) -> list:
@@ -222,7 +241,7 @@ def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callabl
     """
     width = header.count(",") + 1
     records = []
-    with _open_text(source, "r") as stream:
+    with _open_text(source) as stream:
         lines = ((n, ln.strip()) for n, ln in _numbered_lines(stream) if ln.strip())
         lineno, first = next(lines, (1, ""))
         if first != header:
@@ -372,14 +391,14 @@ def _read_share(path, dim: int, start: int, stop: int, first_line: int = 1) -> _
 
 def _share_columns(path, dim: int, share: tuple[int, int]) -> tuple | None:
     """A share's columns, with lines numbered from 1 within the share, or
-    None if it holds an error (its parent raises it; see ``_load_file``)."""
+    None if it holds an error (its parent raises it; see ``_parse_file``)."""
     try:
         return _read_share(path, dim, *share).columns()
     except TradeoffError:
         return None
 
 
-def _load_file(path, dimension: int | None) -> Trace:
+def _parse_file(path, dimension: int | None) -> Trace:
     """``load_trace`` of a regular file, parsed in shares.
 
     The header or first record is read here and fixes the dimension. The
@@ -421,23 +440,115 @@ def _load_file(path, dimension: int | None) -> Trace:
     return _trace_of(out, head.dim)
 
 
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    buf = bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            digest.update(memoryview(buf)[:n])
+    return digest.hexdigest()
+
+
+# ``save_trace`` keeps the columns of a trace it writes to a path in a
+# sidecar next to it, with the SHA-256 of the bytes written. A load of the
+# path reads the sidecar instead of parsing the JSON only while that
+# digest is the file's, so the sidecar never needs invalidating.
+_SIDECAR_SUFFIX = ".cache.npz"
+_SIDECAR_VERSION = 1
+
+
+def _write_sidecar(trace: Trace, path, digest: str) -> None:
+    """Save ``trace`` as the sidecar of ``path``, whose bytes hash to
+    ``digest``; the sidecar is replaced whole, never seen half written."""
+    ids = [rid.encode("utf-8", "surrogatepass") for rid in trace.request_ids]
+    code = {res: i for i, res in enumerate(RESOLUTIONS)}
+    columns = {
+        "version": np.array(_SIDECAR_VERSION),
+        "sha256": np.array(digest),
+        "dimension": np.array(trace.dimension),
+        "timestamps": trace.timestamps,
+        # A trace of no rows may hold a matrix of another width; a parse
+        # of its file gives one of the trace's dimension.
+        "embeddings": trace.embeddings.reshape(len(trace), trace.dimension),
+        "resolutions": np.array([code[res] for res in trace.resolutions], dtype=np.int8),
+        "ids": np.frombuffer(b"".join(ids), dtype=np.uint8),
+        "id_offsets": np.cumsum([0, *map(len, ids)], dtype=np.int64),
+    }
+    sidecar = os.fspath(path) + _SIDECAR_SUFFIX
+    partial = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as f:
+            np.savez(f, **columns)
+        os.replace(partial, sidecar)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+
+
+# What reading a missing, damaged, foreign or older sidecar raises: a
+# member's CRC is checked once it has been read to its end, so damage to
+# the data is a BadZipFile too.
+_UNREADABLE = (OSError, EOFError, RuntimeError, KeyError, ValueError, zipfile.BadZipFile)
+
+
+def _read_sidecar(path, digest: str, dimension: int | None) -> Trace | None:
+    """The trace in the sidecar of ``path`` if it was saved for bytes
+    that hash to ``digest`` and, when ``dimension`` is given, has that
+    dimension; otherwise None."""
+    try:
+        with zipfile.ZipFile(os.fspath(path) + _SIDECAR_SUFFIX) as zf:
+
+            def column(name: str) -> np.ndarray:
+                with zf.open(name + ".npy") as f:
+                    return np.lib.format.read_array(f, allow_pickle=False)
+
+            if column("version").item() != _SIDECAR_VERSION or column("sha256").item() != digest:
+                return None
+            dim = column("dimension").item()
+            if dimension is not None and dimension != dim:
+                return None
+            names = ("timestamps", "ids", "id_offsets", "resolutions", "embeddings")
+            ts, ids, offsets, codes, emb = map(column, names)
+    except _UNREADABLE:
+        return None
+    ids, offsets = ids.tobytes(), offsets.tolist()
+    return Trace(
+        ts,
+        [ids[a:b].decode("utf-8", "surrogatepass") for a, b in zip(offsets, offsets[1:])],
+        [RESOLUTIONS[i] for i in codes.tolist()],
+        emb,
+        dimension=dim,
+    )
+
+
 def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> Trace:
     """Parse a JSON-lines trace from a path, text stream, or byte stream.
 
     The input is read one line at a time; a large regular file is read
-    in one share per CPU, in forked workers (see ``_load_file``), with
-    the same result and the same errors. ``dimension``, if given,
-    overrides inference and every record must conform. Raises
-    :class:`ParseError` with the 1-based line number for malformed
-    lines (NaN, infinite and out-of-range embedding values included;
-    text that is not UTF-8 has a line number only in a byte stream),
-    :class:`DimensionMismatch` for wrong-length embeddings, and
+    in one share per CPU, in forked workers (see ``_parse_file``), with
+    the same result and the same errors. A regular file with a
+    ``save_trace`` sidecar beside it is hashed first (the trace's
+    ``source_sha256``); if the sidecar was saved for exactly those bytes,
+    the trace is built from it instead, through the same checks, and
+    equals the parse. A file without a sidecar is parsed, not hashed.
+    ``dimension``, if given, overrides inference and every record must
+    conform. Raises :class:`ParseError` with the 1-based line number for
+    malformed lines (NaN, infinite and out-of-range embedding values
+    included; text that is not UTF-8 has a line number only in a byte
+    stream), :class:`DimensionMismatch` for wrong-length embeddings, and
     :class:`ZeroNormEmbedding` for zero vectors.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
-        return _load_file(source, dimension)
+        if not os.path.exists(os.fspath(source) + _SIDECAR_SUFFIX):
+            return _parse_file(source, dimension)
+        digest = _file_sha256(source)
+        trace = _read_sidecar(source, digest, dimension)
+        if trace is None:
+            trace = _parse_file(source, dimension)
+        trace.source_sha256 = digest
+        return trace
     records = _Records(dimension)
-    with _open_text(source, "r") as stream:
+    with _open_text(source) as stream:
         records.read(_numbered_lines(stream))
     return _trace_of([records.columns()], records.dim)
 
@@ -475,8 +586,20 @@ def serialize_trace(trace: Trace) -> str:
 
 
 def save_trace(trace: Trace, dest: str | os.PathLike | IO) -> None:
-    """Write ``serialize_trace(trace)`` to a path or text stream."""
-    _write_text(dest, serialize_trace(trace))
+    """Write ``serialize_trace(trace)`` to a path or text stream.
+
+    A path that names a regular file once written also gets the sidecar
+    ``<path>.cache.npz``, which ``load_trace`` of the path reads in place
+    of the JSON while the file's bytes are the ones written here. A
+    sidecar that cannot be written (no room, a read-only directory) is
+    left out without an error.
+    """
+    digest = _write_text(dest, serialize_trace(trace))
+    if digest is not None and os.path.isfile(dest):
+        # The trace is already saved; without its optional sidecar a
+        # load of it parses the JSON.
+        with contextlib.suppress(OSError):
+            _write_sidecar(trace, dest, digest)
 
 
 def generate_trace(config: GeneratorConfig) -> Trace:

@@ -17,6 +17,7 @@ from tradeoffs import (
     marginal_benefit,
     replay,
     save_trace,
+    serialize_trace,
     sweep,
     write_curve_csv,
 )
@@ -205,6 +206,33 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert code == 2 and "error:" in err
 
 
+_DEFICIT = ["deficit", "--total", "400", "--devices", "2", "--per-device", "100"]
+_MARGINAL = ["marginal", "--reuse", "20", "--capacity", "4", "--model", "exp", "--beta", "0.5"]
+_POWER = ["marginal", "--reuse", "20", "--capacity", "4", "--model", "power",
+          "--kappa", "1", "--gamma", "0.5"]
+_EXPECTED = ["expected-compute", "--reuse", "20", "--capacity", "4", "--hit", "0.5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *((_DEFICIT, f) for f in ("--total", "--per-device", "--k", "--allreduce", "--state")),
+    *((_MARGINAL, f) for f in ("--beta", "--step-cost", "--entry-size", "--capacity")),
+    *((_POWER, f) for f in ("--kappa", "--gamma")),
+    *((_EXPECTED, f) for f in ("--step-cost", "--entry-size", "--capacity", "--hit")),
+])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_model_flag_is_usage_error(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_non_finite_result_is_usage_error_not_invalid_json(capsys, monkeypatch):
+    import tradeoffs.cli as cli
+
+    monkeypatch.setattr(cli, "memory_deficit", lambda params: float("nan"))
+    code, out, err = run(capsys, *_DEFICIT)
+    assert code == 2 and out == "" and "not JSON compliant" in err
+
+
 # ---------------------------------------------------------------------------
 # file-producing subcommands
 # ---------------------------------------------------------------------------
@@ -273,6 +301,29 @@ def test_sweep_csv_matches_library(tmp_path, capsys):
     assert out.read_text() == curve_to_csv(curve)
     rows = json.loads(stdout)
     assert [r["hit_rate"] for r in rows] == [p.hit_rate for p in curve]
+
+
+@pytest.mark.parametrize("sidecar", ["fresh", "stale", "none"])
+@pytest.mark.parametrize("command, extra, outputs", [
+    ("replay", ["--capacity", "160MB", "--records", "recs"], ["out", "recs"]),
+    ("sweep", ["--capacities", "80MB,160MB", "--jobs", "1"], ["out"]),
+])
+def test_manifest_records_the_digest_of_the_trace_file(
+        tmp_path, capsys, monkeypatch, command, extra, outputs, sidecar):
+    monkeypatch.chdir(tmp_path)
+    trace = generate_trace(GeneratorConfig(num_requests=30, num_clusters=3, dimension=8, seed=4))
+    if sidecar != "none":
+        save_trace(trace, "t.jsonl")
+    if sidecar != "fresh":
+        # Bytes other than the ones the sidecar, if any, was saved for.
+        (tmp_path / "t.jsonl").write_bytes(serialize_trace(trace).replace("\n", "\r\n").encode())
+    assert (tmp_path / "t.jsonl.cache.npz").exists() == (sidecar != "none")
+    code, _, _ = run(capsys, command, "--trace", "t.jsonl", "--out", "out", *extra)
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
+    for out in outputs:
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {"t.jsonl": digest}
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -49,6 +49,39 @@ def test_comm_cost_values():
     assert comm_cost(p) == 120.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_parameters_must_be_finite(bad):
+    records = [
+        lambda v: DeficitParams(v, 2, 100),
+        lambda v: DeficitParams(400, 2, v),
+        lambda v: DeficitParams(400, 2, 100, allreduce_factor=v),
+        lambda v: DeficitParams(400, 2, 100, state_volume_gb=v),
+        lambda v: DeficitParams(400, 2, 100, deficit_bandwidth_factor=v),
+        lambda v: CacheCostParams(v, 1e9, 20, 0.08),
+        lambda v: CacheCostParams(50, v, 20, 0.08),
+        lambda v: CacheCostParams(50, 1e9, v, 0.08),
+        lambda v: CacheCostParams(50, 1e9, 20, v),
+        lambda v: ExponentialSaturation(v, 0.08),
+        lambda v: ExponentialSaturation(0.5, v),
+        lambda v: PowerLaw(v, 0.5),
+        lambda v: PowerLaw(1.0, v),
+    ]
+    for make in records:
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+
+@pytest.mark.parametrize("capacity", [math.nan, math.inf])
+def test_non_finite_capacity_is_rejected(capacity):
+    cost = CacheCostParams(50, 1e9, 20, 0.08)
+    for model in (ExponentialSaturation(0.5, 0.08), PowerLaw(1.0, 0.5),
+                  EmpiricalHitRate(((0.0, 0.5),))):
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            expected_compute(cost, model, capacity)
+    with pytest.raises(ValueError, match="capacity must be finite"):
+        marginal_benefit(cost, PowerLaw(1.0, 0.5), capacity)
+
+
 def test_deficit_validation():
     with pytest.raises(ValueError):
         DeficitParams(-1, 2, 100)

@@ -71,6 +71,22 @@ def test_config_rejects_non_finite_step_cost(cost):
                   step_cost_by_resolution={"720p": 1e9, "1080p": cost, "2k": 1e9})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("total_steps", float("nan"), "total_steps must be at least 1 and finite"),
+    ("total_steps", float("inf"), "total_steps must be at least 1 and finite"),
+    ("capacity_bytes", float("nan"), "capacity_bytes must be nonnegative and finite"),
+    ("capacity_bytes", float("inf"), "capacity_bytes must be nonnegative and finite"),
+    ("latent_bytes_by_resolution", float("nan"), "latent size for 2k must be positive and finite"),
+    ("latent_bytes_by_resolution", float("inf"), "latent size for 2k must be positive and finite"),
+])
+def test_config_rejects_non_finite_sizes(field, value, message):
+    if field == "latent_bytes_by_resolution":
+        value = {"720p": E720, "1080p": 2 * E720, "2k": value}
+    kwargs = {"capacity_bytes": 0, field: value}
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**kwargs)
+
+
 def test_config_requires_every_resolution():
     # A partial map would otherwise fail mid-replay at the first request
     # of a missing resolution.

@@ -1,5 +1,8 @@
+import hashlib
 import io
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +167,8 @@ def test_save_trace_to_path(tmp_path):
     path = tmp_path / "t.jsonl"
     save_trace(tr, path)
     assert load_trace(path) == tr
+    os.remove(_sidecar(path))
+    assert load_trace(path) == tr
 
 
 def test_byte_stream_loads_like_text_stream():
@@ -254,7 +259,8 @@ def test_small_traces_stay_in_one_share(tmp_path, monkeypatch):
     monkeypatch.setattr(workload, "fork_map",
                         lambda fn, items, workers: shares.append(len(items)) or list(map(fn, items)))
     trace = _mixed_trace(400, 64)  # 25,600 values
-    save_trace(trace, tmp_path / "t.jsonl")
+    # Written without a sidecar, so that the load parses the file.
+    workload._write_text(tmp_path / "t.jsonl", serialize_trace(trace))
     assert load_trace(tmp_path / "t.jsonl") == trace
     assert shares == [1, 1]
 
@@ -313,6 +319,210 @@ def test_non_utf8_in_a_later_share_is_parse_error(tmp_path, split_io):
     _, message, error = _error_of(lambda: load_trace(path))
     assert message == "not valid UTF-8" and error.line_number is None
     assert split_io == [3]
+
+
+# ---------------------------------------------------------------------------
+# the sidecar cache of a saved trace
+# ---------------------------------------------------------------------------
+
+
+def _sidecar(path):
+    return str(path) + ".cache.npz"
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths that ``load_trace`` parses instead of reading a sidecar."""
+    parsed = []
+
+    def counted(path, dimension):
+        parsed.append(str(path))
+        return real(path, dimension)
+
+    real = workload._parse_file
+    monkeypatch.setattr(workload, "_parse_file", counted)
+    return parsed
+
+
+SIDECAR_TRACES = {
+    "three resolutions": _mixed_trace(200, 12),
+    "no rows": Trace([], [], [], [], dimension=7),
+    # Its file holds no rows to give the matrix a width of 5.
+    "no rows, matrix of another width": Trace([], [], [], np.zeros((0, 5)), dimension=7),
+    "equal timestamps and odd ids": Trace(
+        [5, 5, 3, 5, 3],
+        ["é✓", "a,b", 'say "hi"', "nul\u0000end", "\ud800 lone surrogate"],
+        ["2k", "720p", "1080p", "720p", "2k"],
+        [[-0.0, 1.0], [0.6, 0.8], [1.0, -0.0], [3.0, 4.0], [0.0, -1.0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SIDECAR_TRACES)
+def test_sidecar_hit_equals_the_parse_bit_for_bit(tmp_path, parses, name):
+    trace = SIDECAR_TRACES[name]
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    hit = load_trace(path)
+    assert parses == []
+    parsed = workload._parse_file(path, None)
+    assert hit == parsed
+    assert hit == trace or name == "no rows, matrix of another width"
+    assert (hit.dimension, hit.request_ids, hit.resolutions) == (
+        parsed.dimension, parsed.request_ids, parsed.resolutions)
+    for a, b in ((hit.timestamps, parsed.timestamps), (hit.embeddings, parsed.embeddings)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert hit.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_sidecar_goes_stale_on_a_same_length_edit(tmp_path, parses):
+    trace = _mixed_trace(50, 4)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    text = path.read_text()
+    at = text.index('"emb":[') + len('"emb":[') + 4  # a digit of the first value
+    edited = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+    path.write_text(edited)
+    assert len(edited) == len(text)
+    assert load_trace(path) == _load(edited) != trace
+    assert parses == [str(path)]
+
+
+def _npy(data, trace):
+    out = io.BytesIO()
+    np.save(out, trace.embeddings)
+    return out.getvalue()
+
+
+def _flipped(data, trace):
+    # One bit of the first embedding: the zip member's CRC no longer holds.
+    at = data.index(trace.embeddings[0].tobytes())
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+DAMAGE = {
+    "truncated": lambda data, trace: data[: len(data) // 2],
+    "empty": lambda data, trace: b"",
+    "garbage": lambda data, trace: np.random.default_rng(0).bytes(len(data)),
+    "an .npy file": _npy,
+    "a bit flipped": _flipped,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_damaged_sidecar_gives_the_parse_quietly(tmp_path, parses, damage):
+    trace = _mixed_trace(80, 16)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    with open(_sidecar(path), "r+b") as f:
+        data = DAMAGE[damage](f.read(), trace)
+        f.seek(0)
+        f.truncate()
+        f.write(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_trace(path) == trace
+    assert parses == [str(path)]
+
+
+def test_sidecar_of_another_format_version_is_ignored(tmp_path, parses, monkeypatch):
+    trace = _mixed_trace(20, 4)
+    path = tmp_path / "t.jsonl"
+    version = workload._SIDECAR_VERSION
+    monkeypatch.setattr(workload, "_SIDECAR_VERSION", version + 1)
+    save_trace(trace, path)
+    monkeypatch.setattr(workload, "_SIDECAR_VERSION", version)
+    assert load_trace(path) == trace
+    assert parses == [str(path)]
+
+
+def test_randomly_damaged_sidecars_load_the_trace_quietly(tmp_path):
+    rng = np.random.default_rng(5)
+    trace = _mixed_trace(12, 3)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    with open(_sidecar(path), "rb") as f:
+        data = f.read()
+    for _ in range(300):
+        damaged = bytearray(data)
+        damaged[rng.integers(len(data))] = rng.integers(256)
+        with open(_sidecar(path), "wb") as f:
+            f.write(damaged[: rng.integers(len(data) // 2, len(data) + 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_trace(path) == trace
+
+
+@pytest.mark.parametrize("n", [0, 30])
+def test_dimension_mismatch_is_the_same_with_or_without_a_sidecar(tmp_path, n):
+    path = tmp_path / "t.jsonl"
+    save_trace(_mixed_trace(n, 8), path)
+    with_sidecar = _error_of(lambda: load_trace(path, dimension=4))
+    os.remove(_sidecar(path))
+    without = _error_of(lambda: load_trace(path, dimension=4))
+    assert with_sidecar[:2] == without[:2]
+    assert with_sidecar[0] is DimensionMismatch
+
+
+def test_streams_never_read_a_sidecar_and_loads_never_write_one(tmp_path):
+    saved, other = _mixed_trace(40, 6, seed=1), _mixed_trace(40, 6, seed=2)
+    path = tmp_path / "t.jsonl"
+    save_trace(saved, path)
+    # A sidecar of another trace under the file's digest: only a path load
+    # reads it, which shows that the digest alone decides.
+    workload._write_sidecar(other, path, hashlib.sha256(path.read_bytes()).hexdigest())
+    assert load_trace(path) == other
+    with open(path, encoding="utf-8") as f:
+        assert load_trace(f) == saved
+    with open(path, "rb") as f:
+        assert load_trace(f) == saved
+    assert load_trace(io.StringIO(path.read_text())).source_sha256 is None
+    os.remove(_sidecar(path))
+    assert load_trace(path) == saved
+    assert sorted(os.listdir(tmp_path)) == ["t.jsonl"]
+
+
+def test_saving_to_a_stream_writes_no_sidecar(tmp_path):
+    with open(tmp_path / "t.jsonl", "w", encoding="utf-8") as f:
+        save_trace(_mixed_trace(10, 4), f)
+    assert sorted(os.listdir(tmp_path)) == ["t.jsonl"]
+
+
+@pytest.mark.parametrize("fails", ["open", "savez", "replace"])
+def test_a_sidecar_that_cannot_be_written_is_left_out(tmp_path, monkeypatch, fails):
+    # No room or no right to create a file: the trace itself is saved.
+    trace = _mixed_trace(20, 5)
+    path = tmp_path / "t.jsonl"
+
+    def refuse(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    if fails == "open":
+        real_open = open
+
+        def open_(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".tmp"):
+                refuse()
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", open_)
+    else:
+        monkeypatch.setattr({"savez": np, "replace": os}[fails], fails, refuse)
+    save_trace(trace, path)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["t.jsonl"]
+    assert path.read_text(encoding="utf-8") == serialize_trace(trace)
+    assert load_trace(path) == trace
+
+
+def test_a_file_without_a_sidecar_is_parsed_not_hashed(tmp_path, monkeypatch):
+    trace = _mixed_trace(20, 5)
+    path = tmp_path / "t.jsonl"
+    workload._write_text(path, serialize_trace(trace))
+    hashed = []
+    monkeypatch.setattr(workload, "_file_sha256", lambda p: hashed.append(p) or "0" * 64)
+    loaded = load_trace(path)
+    assert loaded == trace and loaded.source_sha256 is None and hashed == []
 
 
 def test_trace_equality_detects_differences():
@@ -416,3 +626,14 @@ def test_generator_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(num_requests=1, num_clusters=1,
                         resolution_mix={"8k": 1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_generator_config_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="zipf_exponent must be finite"):
+        GeneratorConfig(num_requests=1, num_clusters=1, zipf_exponent=bad)
+    with pytest.raises(ValueError, match="noise_sigma must be finite"):
+        GeneratorConfig(num_requests=1, num_clusters=1, noise_sigma=bad)
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        GeneratorConfig(num_requests=1, num_clusters=1,
+                        resolution_mix={"720p": 1.0, "2k": bad})
