@@ -75,10 +75,12 @@ class RateComputeSample:
     quality: float
 
     def __post_init__(self):
-        if self.bandwidth_bpp < 0:
-            raise ValueError("bandwidth_bpp must be nonnegative")
-        if self.compute_flops < 0:
-            raise ValueError("compute_flops must be nonnegative")
+        if not 0 <= self.bandwidth_bpp < math.inf:
+            raise ValueError("bandwidth_bpp must be nonnegative and finite")
+        if not 0 <= self.compute_flops < math.inf:
+            raise ValueError("compute_flops must be nonnegative and finite")
+        if not math.isfinite(self.quality):
+            raise ValueError("quality must be finite")
 
 
 @dataclass(frozen=True)
@@ -300,10 +302,16 @@ def frontier_min_bandwidth(
     them. Ties on bandwidth are broken toward lower compute, then input
     order.
 
-    Raises :class:`Infeasible` when no sample satisfies both constraints.
+    Raises :class:`Infeasible` when no sample satisfies both constraints,
+    and ``ValueError`` for a non-finite quality target or a budget that is
+    negative or not finite.
     """
     if not samples:
         raise ValueError("samples must be non-empty")
+    if not math.isfinite(quality_target):
+        raise ValueError("quality target must be finite")
+    if not 0 <= compute_budget_flops < math.inf:
+        raise ValueError("compute budget must be nonnegative and finite")
     best: FrontierResult | None = None
     for i, s in enumerate(samples):
         if s.quality < quality_target or s.compute_flops > compute_budget_flops:
@@ -353,6 +361,9 @@ def expected_compute(
         raise NegativeCapacity(f"capacity must be >= 0, got {capacity_gb}")
     h = model.hit_rate(capacity_gb)
     saved = h * cost.reuse_savings_flops
+    entries = capacity_gb // cost.entry_size_gb
+    if entries == math.inf:
+        raise ValueError("capacity / entry size is beyond float range")
     return CacheEconomics(
         capacity_gb=capacity_gb,
         hit_rate=h,
@@ -360,7 +371,7 @@ def expected_compute(
         reuse_savings_flops=cost.reuse_savings_flops,
         expected_saved_flops=saved,
         expected_cost_flops=cost.full_cost_flops - saved,
-        entry_count=int(capacity_gb // cost.entry_size_gb),
+        entry_count=int(entries),
         saved_flops_per_gb=saved / capacity_gb if capacity_gb > 0 else 0.0,
     )
 
@@ -418,10 +429,14 @@ def _validate_fit_points(
 
 
 def _fit_exponential(caps, rates, entry_size_gb: float) -> ExponentialSaturation:
-    # ln(1 - h) = -beta * M / s_e is linear through the origin.
+    # ln(1 - h) = -beta * M / s_e is linear through the origin. An entry
+    # size that puts M / s_e out of float range leaves no finite beta.
     y = np.log1p(-rates)
-    x = -caps / entry_size_gb
-    beta = float(np.dot(x, y) / np.dot(x, x))
+    with np.errstate(all="ignore"):
+        x = -caps / entry_size_gb
+        beta = float(np.dot(x, y) / np.dot(x, x))
+    if not -math.inf < beta < math.inf:
+        raise ValueError("entry size is out of range for these capacities")
     if beta <= 0:
         raise DegeneratePoints("points do not show an increasing hit rate")
     return ExponentialSaturation(beta=beta, entry_size_gb=entry_size_gb)
@@ -490,11 +505,14 @@ def fit_hit_rate(
 
     Raises :class:`DegeneratePoints` for fewer than three points, a
     capacity that is not positive, a repeated capacity, a rate equal to
-    1, or all rates 0, and ``ValueError`` for a rate outside [0, 1] or an
-    unsupported family.
+    1, or all rates 0, and ``ValueError`` for a rate outside [0, 1], an
+    unsupported family, or an exponential fit whose entry size is not
+    positive and finite or leaves no finite beta.
     """
     caps, rates = _validate_fit_points(points)
     if family is ExponentialSaturation:
+        if not 0 < entry_size_gb < math.inf:
+            raise ValueError("entry_size_gb must be positive and finite")
         model = _fit_exponential(caps, rates, entry_size_gb)
         fitted = np.array([model.hit_rate(m) for m in caps])
         residual = float(np.sqrt(np.mean((fitted - rates) ** 2)))

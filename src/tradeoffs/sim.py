@@ -79,8 +79,7 @@ class SimConfig:
 
     def __post_init__(self):
         # Written so that NaN fails each check; an int of any size passes.
-        if not 0 <= self.capacity_bytes < math.inf:
-            raise ValueError("capacity_bytes must be nonnegative and finite")
+        _whole_bytes(self.capacity_bytes)
         if not 1 <= self.total_steps < math.inf:
             raise ValueError("total_steps must be at least 1 and finite")
         depths = tuple(sorted(int(d) for d in self.stored_depths))
@@ -109,7 +108,15 @@ class SimConfig:
         )
 
     def with_capacity(self, capacity_bytes: int) -> "SimConfig":
-        return replace(self, capacity_bytes=int(capacity_bytes))
+        return replace(self, capacity_bytes=_whole_bytes(capacity_bytes))
+
+
+def _whole_bytes(capacity_bytes) -> int:
+    """``int(capacity_bytes)``, checked first: NaN, infinite or negative
+    capacities are a ``ValueError``."""
+    if not 0 <= capacity_bytes < math.inf:
+        raise ValueError("capacity_bytes must be nonnegative and finite")
+    return int(capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -334,11 +341,9 @@ def sweep(
         raise ValueError("jobs must be at least 1")
     if not capacities:
         raise ValueError("capacities must be non-empty")
-    caps = [int(c) for c in capacities]
+    caps = [_whole_bytes(c) for c in capacities]
     if len(set(caps)) != len(caps):
         raise ValueError("capacities must be distinct")
-    if any(c < 0 for c in caps):
-        raise ValueError("capacities must be nonnegative")
     caps.sort()
     return fork_map(functools.partial(_sweep_point, trace, config), caps, jobs)
 

@@ -29,6 +29,7 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
@@ -60,9 +61,11 @@ class Trace:
     hand contiguous rows to the cache. Construction stably sorts by
     timestamp (input order breaks ties) and unit-normalizes every
     embedding; vectors already unit-norm within 1e-9 are passed through
-    bit-for-bit, which makes save/load a round trip. Raises
-    :class:`ZeroNormEmbedding` for a zero embedding and
-    :class:`NonFiniteEmbedding` for one whose norm is NaN or infinite.
+    bit-for-bit, which makes save/load a round trip. A trace of no rows
+    holds a (0, dimension) matrix, whatever the width of the empty input.
+    Raises :class:`ZeroNormEmbedding` for a zero embedding,
+    :class:`NonFiniteEmbedding` for one whose norm is NaN or infinite,
+    and ``ValueError`` for a ``dimension`` below 1.
 
     ``source_sha256`` is the SHA-256 (hex) of the file :func:`load_trace`
     read the trace from when it checked a sidecar against it, and None
@@ -79,10 +82,12 @@ class Trace:
         embeddings,
         dimension: int | None = None,
     ):
+        if dimension is not None and dimension < 1:
+            raise ValueError("dimension must be at least 1")
         ts = np.asarray(timestamps, dtype=np.int64)
         emb = np.array(embeddings, dtype=np.float64)
-        if emb.ndim == 1:
-            emb = emb.reshape(0, dimension or DEFAULT_DIM) if emb.size == 0 else emb
+        if emb.ndim == 1 and emb.size == 0:
+            emb = emb.reshape(0, 0)  # no rows; given the trace's width below
         if emb.ndim != 2:
             raise DimensionMismatch(f"embeddings must be 2-d, got shape {emb.shape}")
         n = ts.shape[0]
@@ -93,6 +98,10 @@ class Trace:
                 f"expected dimension {dimension}, got {emb.shape[1]}"
             )
         self.dimension = int(dimension if dimension is not None else (emb.shape[1] if n else DEFAULT_DIM))
+        if not n:
+            # No row fixes the width: the matrix takes the trace's
+            # dimension, as a parse of the trace's file gives it.
+            emb = emb.reshape(0, self.dimension)
         for r in resolutions:
             if r not in RESOLUTIONS:
                 raise ValueError(f"unknown resolution {r!r}")
@@ -189,8 +198,10 @@ def _open_text(source):
 _NOT_UTF8 = "not valid UTF-8"
 _JSON_NUMBERS = frozenset({int, float})
 # Trace I/O runs in one share per CPU once a trace holds more embedding
-# values than this: forking a worker costs a few ms and a value about
-# 1 us to format or parse, so small traces stay in one process.
+# values than this. Splitting costs about 10-13 ms on 2 CPUs (a fork, and
+# the share's result sent back); a value takes about 0.25 us to format
+# and 0.6 us to parse, so parsing gains from about 2^16 values on, and
+# formatting breaks even between 2^16 and 2^17.
 _SPLIT_MIN_VALUES = 1 << 16
 
 
@@ -467,9 +478,7 @@ def _write_sidecar(trace: Trace, path, digest: str) -> None:
         "sha256": np.array(digest),
         "dimension": np.array(trace.dimension),
         "timestamps": trace.timestamps,
-        # A trace of no rows may hold a matrix of another width; a parse
-        # of its file gives one of the trace's dimension.
-        "embeddings": trace.embeddings.reshape(len(trace), trace.dimension),
+        "embeddings": trace.embeddings,
         "resolutions": np.array([code[res] for res in trace.resolutions], dtype=np.int8),
         "ids": np.frombuffer(b"".join(ids), dtype=np.uint8),
         "id_offsets": np.cumsum([0, *map(len, ids)], dtype=np.int64),
@@ -554,15 +563,22 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
 
 
 def _format_rows(trace: Trace, rows: tuple[int, int]) -> list[str]:
+    """The JSON lines of rows ``[start, stop)``: each is the text of
+    ``json.dumps(record, separators=(",", ":"))``, written here from the
+    parts ``json.dumps`` would write."""
+    # Imported on first use: building its tables takes about 2 ms, which
+    # every command that writes no trace would pay at startup.
+    from ._floatrepr import float_rows
+
     start, stop = rows
-    # One row at a time: a whole-matrix tolist() holds every float at once.
+    res_json = {res: _json_string(res) for res in RESOLUTIONS}
     return [
-        json.dumps({"ts": ts, "id": rid, "res": res, "emb": emb.tolist()}, separators=(",", ":"))
+        f'{{"ts":{ts},"id":{_json_string(rid)},"res":{res_json[res]},"emb":[{emb}]}}'
         for ts, rid, res, emb in zip(
             trace.timestamps[start:stop].tolist(),
             trace.request_ids[start:stop],
             trace.resolutions[start:stop],
-            trace.embeddings[start:stop],
+            float_rows(trace.embeddings[start:stop]),
         )
     ]
 
@@ -570,7 +586,8 @@ def _format_rows(trace: Trace, rows: tuple[int, int]) -> list[str]:
 def serialize_trace(trace: Trace) -> str:
     """Render a trace back to JSON-lines text, header line included.
 
-    Floats are written in shortest round-trip form, so
+    Floats are written in shortest round-trip form, the text of
+    ``repr``, formatted a block of rows at a time (``_floatrepr``), so
     ``load_trace(serialize_trace(t)) == t`` exactly. A large trace is
     formatted in one share of rows per CPU, in forked workers; the text
     is the same.
@@ -625,7 +642,10 @@ def generate_trace(config: GeneratorConfig) -> Trace:
     assignments = rng.choice(k, size=n, p=weights)
 
     emb = centers[assignments] + rng.normal(0.0, config.noise_sigma, size=(n, d))
-    norms = np.linalg.norm(emb, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(emb, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("noise_sigma is too large: the noise overflows float64")
     if np.any(norms == 0.0):
         raise ZeroNormEmbedding("degenerate noise draw")
     emb /= norms[:, None]

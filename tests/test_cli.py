@@ -120,6 +120,18 @@ def test_frontier_infeasible_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "Infeasible"
 
 
+@pytest.mark.parametrize("flag, value", [("--quality", "nan"), ("--budget", "nan"),
+                                         ("--quality", "inf"), ("--budget", "inf"),
+                                         ("--budget", "-1")])
+def test_frontier_non_finite_target_is_usage_error(tmp_path, capsys, flag, value):
+    samples = tmp_path / "s.csv"
+    samples.write_text("bandwidth_bpp,compute_flops,quality\n0.15,1e9,0.9\n")
+    args = {"--quality": "0.9", "--budget": "1e10", flag: value}
+    code, out, err = run(capsys, "frontier", "--samples", str(samples),
+                         *[x for pair in args.items() for x in pair])
+    assert code == 2 and out == "" and "must be" in err
+
+
 def test_frontier_bad_csv_is_domain_error(tmp_path, capsys):
     samples = tmp_path / "s.csv"
     samples.write_text("wrong,header,names\n1,2,3\n")
@@ -149,7 +161,7 @@ def test_frontier_out_of_range_sample_is_domain_error(tmp_path, capsys):
     assert code == 1 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "ParseError"
-    assert doc["message"] == "line 3: bandwidth_bpp must be nonnegative"
+    assert doc["message"] == "line 3: bandwidth_bpp must be nonnegative and finite"
 
 
 @pytest.mark.parametrize("row, error, message", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,9 @@ def test_parameters_must_be_finite(bad):
         lambda v: ExponentialSaturation(0.5, v),
         lambda v: PowerLaw(v, 0.5),
         lambda v: PowerLaw(1.0, v),
+        lambda v: RateComputeSample(v, 1e9, 0.9),
+        lambda v: RateComputeSample(0.1, v, 0.9),
+        lambda v: RateComputeSample(0.1, 1e9, v),
     ]
     for make in records:
         with pytest.raises(ValueError, match="finite"):
@@ -146,6 +150,40 @@ def test_frontier_tie_prefers_lower_compute():
     ]
     r = frontier_min_bandwidth(samples, 0.5, 1e10)
     assert r.sample_index == 1
+
+
+@pytest.mark.parametrize("quality, budget, message", [
+    (math.nan, 1e10, "quality target must be finite"),
+    (math.inf, 1e10, "quality target must be finite"),
+    (-math.inf, 1e10, "quality target must be finite"),
+    (0.9, math.nan, "compute budget must be nonnegative and finite"),
+    (0.9, math.inf, "compute budget must be nonnegative and finite"),
+    (0.9, -1.0, "compute budget must be nonnegative and finite"),
+])
+def test_frontier_rejects_non_finite_targets(quality, budget, message):
+    # Every comparison with NaN is false, so a NaN target or budget would
+    # let every sample through.
+    with pytest.raises(ValueError, match=message):
+        frontier_min_bandwidth(FRONTIER_SAMPLES, quality, budget)
+
+
+def test_expected_compute_rejects_an_entry_count_beyond_float_range():
+    cost = CacheCostParams(50, 1e9, 20, 0.08)
+    with pytest.raises(ValueError, match="beyond float range"):
+        expected_compute(cost, EmpiricalHitRate(((0.0, 0.6),)), 1e308)
+
+
+@pytest.mark.parametrize("entry_size, message", [
+    (0.0, "positive and finite"), (-0.08, "positive and finite"),
+    (math.inf, "positive and finite"), (math.nan, "positive and finite"),
+    (5e-324, "out of range"), (1e308, "out of range"),
+])
+def test_exponential_fit_rejects_entry_sizes_that_leave_no_finite_beta(entry_size, message):
+    points = [(0.32, 0.1), (0.64, 0.2), (1.28, 0.35)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            fit_hit_rate(points, ExponentialSaturation, entry_size_gb=entry_size)
 
 
 def test_frontier_empty_samples():

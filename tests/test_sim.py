@@ -87,6 +87,16 @@ def test_config_rejects_non_finite_sizes(field, value, message):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1])
+def test_with_capacity_and_sweep_check_capacities_before_int(capacity):
+    config = SimConfig(capacity_bytes=0)
+    with pytest.raises(ValueError, match="capacity_bytes must be nonnegative and finite"):
+        config.with_capacity(capacity)
+    trace = identical_trace(3)
+    with pytest.raises(ValueError, match="capacity_bytes must be nonnegative and finite"):
+        sweep(trace, config, [E720, capacity])
+
+
 def test_config_requires_every_resolution():
     # A partial map would otherwise fail mid-replay at the first request
     # of a missing resolution.

@@ -38,6 +38,20 @@ def test_empty_stream():
     assert len(tr) == 0 and tr.dimension == 768
 
 
+def test_a_trace_of_no_rows_takes_its_dimension(tmp_path):
+    trace = Trace([], [], [], np.zeros((0, 5)), dimension=7)
+    assert trace.embeddings.shape == (0, 7)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    assert load_trace(path) == trace
+    os.remove(_sidecar(path))
+    assert load_trace(path) == trace
+    inferred = Trace([], [], [], np.zeros((0, 5)))
+    assert inferred.embeddings.shape == (0, inferred.dimension)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        Trace([], [], [], [], dimension=0)
+
+
 def test_sorting_is_stable():
     text = (
         '{"ts":5,"id":"b","res":"720p","emb":[0,1]}\n'
@@ -626,6 +640,14 @@ def test_generator_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(num_requests=1, num_clusters=1,
                         resolution_mix={"8k": 1.0})
+
+
+def test_generator_rejects_noise_that_overflows():
+    cfg = GeneratorConfig(num_requests=30, num_clusters=3, dimension=4, noise_sigma=1e308, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="noise_sigma is too large"):
+            generate_trace(cfg)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
