@@ -10,7 +10,6 @@ and pickle the trace into every worker.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 from typing import Callable, Sequence
@@ -29,6 +28,10 @@ def fork_workers() -> int:
     worker, or a ``fork_map`` worker), which may not have children; or it
     runs other threads, whose locks a forked child could find held
     forever."""
+    # Imported here, so that commands that never consider forking (replay,
+    # fit) do not pay for it at startup.
+    import multiprocessing
+
     if (
         "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
@@ -61,9 +64,13 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     when fewer than two processes would run (see :func:`fork_workers`).
     """
     items = list(items)
-    workers = min(workers, len(items), fork_workers())
+    workers = min(workers, len(items))
+    if workers > 1:
+        workers = min(workers, fork_workers())
     if workers < 2:
         return [fn(item) for item in items]
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     taken = ctx.Value("q", 1)  # the next item to take; item 0 is this process's
 

@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -407,8 +408,7 @@ def _cmd_replay(args) -> int:
         inputs = {args.trace: _input_digest(args.trace, trace)}
     if args.records:
         with open(args.records, "w", encoding="utf-8") as f:
-            for rec in report.per_request:
-                f.write(json.dumps(rec.to_dict()) + "\n")
+            f.writelines(f"{rec._json()}\n" for rec in report.per_request)
         _write_manifest(args.records, "replay", params, inputs)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -487,5 +487,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> NoReturn:
+    """The ``tradeoffs`` command and ``python -m tradeoffs``: ``main()``,
+    then exit with its code without tearing the interpreter down.
+
+    Every file a command writes is closed by then, and stdout and stderr
+    are flushed here; a flush that fails (a closed pipe) leaves through
+    ``sys.exit``, whose teardown reports it as it always has.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -459,10 +459,13 @@ def _fit_power_law(caps, rates) -> tuple[PowerLaw, float]:
     scale = 1.0 / float(np.median(caps))
 
     def evaluate(kappa: float) -> tuple[float, float]:
-        gamma = _power_law_gamma(caps, y, kappa)
-        if gamma <= 0:
-            return math.inf, gamma
-        return _power_law_residual(caps, rates, kappa, gamma), gamma
+        # Where kappa * M overflows, or ln(1 + kappa M) underflows to 0,
+        # gamma is not finite and kappa is no candidate.
+        with np.errstate(all="ignore"):
+            gamma = _power_law_gamma(caps, y, kappa)
+            if not 0 < gamma < math.inf:
+                return math.inf, gamma
+            return _power_law_residual(caps, rates, kappa, gamma), gamma
 
     grid = np.geomspace(
         scale / _KAPPA_GRID_SPAN, scale * _KAPPA_GRID_SPAN, _KAPPA_GRID_POINTS
@@ -485,6 +488,11 @@ def _fit_power_law(caps, rates) -> tuple[PowerLaw, float]:
             moved = False
             for candidate in (best_kappa * math.exp(log_step), best_kappa * math.exp(-log_step)):
                 res, gamma = evaluate(candidate)
+                if not gamma < math.inf:
+                    # Better fits lie ever closer to kappa = 0 or infinity:
+                    # the points pin down no power law.
+                    raise DegeneratePoints("points do not determine a power law: "
+                                           "its best kappa leaves float range")
                 if res < best_res:
                     best_kappa, best_gamma, best_res = candidate, gamma, res
                     moved = True
@@ -500,19 +508,20 @@ def fit_hit_rate(
 
     ``points`` are (capacity GB, hit rate) pairs, at least three, with
     positive distinct capacities and rates in [0, 1). ``entry_size_gb``
-    parameterizes the exponential family only. The returned residual is
-    the RMS misfit in hit-rate units.
+    parameterizes the exponential family only, but must be positive and
+    finite for every family. The returned residual is the RMS misfit in
+    hit-rate units.
 
     Raises :class:`DegeneratePoints` for fewer than three points, a
     capacity that is not positive, a repeated capacity, a rate equal to
     1, or all rates 0, and ``ValueError`` for a rate outside [0, 1], an
-    unsupported family, or an exponential fit whose entry size is not
-    positive and finite or leaves no finite beta.
+    entry size that is not positive and finite, an unsupported family,
+    or an exponential fit that leaves no finite beta.
     """
     caps, rates = _validate_fit_points(points)
+    if not 0 < entry_size_gb < math.inf:
+        raise ValueError("entry_size_gb must be positive and finite")
     if family is ExponentialSaturation:
-        if not 0 < entry_size_gb < math.inf:
-            raise ValueError("entry_size_gb must be positive and finite")
         model = _fit_exponential(caps, rates, entry_size_gb)
         fitted = np.array([model.hit_rate(m) for m in caps])
         residual = float(np.sqrt(np.mean((fitted - rates) ** 2)))

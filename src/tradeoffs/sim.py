@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import IO, Mapping, Sequence
 
 from ._forkmap import fork_map
@@ -146,6 +147,33 @@ class PerRequestRecord:
             "saved_flops": self.saved_flops,
             "evicted": list(self.evicted),
         }
+
+    def _json(self) -> str:
+        """``json.dumps(self.to_dict())``, written without building the dict
+        or setting up an encoder, in half the time. It names the fields of
+        ``to_dict`` in the same order; a test compares the two."""
+        value = _json_value
+        return (
+            f'{{"request_id": {value(self.request_id)}, "outcome": {value(self.outcome)}, '
+            f'"matched_id": {value(self.matched_id)}, "similarity": {value(self.similarity)}, '
+            f'"depth": {value(self.depth)}, "saved_flops": {value(self.saved_flops)}, '
+            f'"evicted": [{", ".join(map(value, self.evicted))}]}}'
+        )
+
+
+def _json_value(x) -> str:
+    """``json.dumps(x)``: a str, int, finite float or None directly, other
+    values through ``json.dumps`` itself."""
+    kind = type(x)
+    if kind is str:
+        return _json_string(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is float and -math.inf < x < math.inf:
+        return float.__repr__(x)
+    if x is None:
+        return "null"
+    return json.dumps(x)
 
 
 @dataclass(frozen=True)

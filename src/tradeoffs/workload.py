@@ -59,10 +59,11 @@ class Trace:
 
     Embeddings are kept as one (n, dim) float64 matrix so replay can
     hand contiguous rows to the cache. Construction stably sorts by
-    timestamp (input order breaks ties) and unit-normalizes every
-    embedding; vectors already unit-norm within 1e-9 are passed through
-    bit-for-bit, which makes save/load a round trip. A trace of no rows
-    holds a (0, dimension) matrix, whatever the width of the empty input.
+    timestamp (input order breaks ties; rows already in order are not
+    moved) and unit-normalizes every embedding; vectors already
+    unit-norm within 1e-9 are passed through bit-for-bit, which makes
+    save/load a round trip. A trace of no rows holds a (0, dimension)
+    matrix, whatever the width of the empty input.
     Raises :class:`ZeroNormEmbedding` for a zero embedding,
     :class:`NonFiniteEmbedding` for one whose norm is NaN or infinite,
     and ``ValueError`` for a ``dimension`` below 1.
@@ -84,7 +85,7 @@ class Trace:
     ):
         if dimension is not None and dimension < 1:
             raise ValueError("dimension must be at least 1")
-        ts = np.asarray(timestamps, dtype=np.int64)
+        ts = np.array(timestamps, dtype=np.int64)  # a copy: it is frozen below
         emb = np.array(embeddings, dtype=np.float64)
         if emb.ndim == 1 and emb.size == 0:
             emb = emb.reshape(0, 0)  # no rows; given the trace's width below
@@ -117,11 +118,14 @@ class Trace:
             off = np.abs(norms - 1.0) > 1e-9
             if np.any(off):
                 emb[off] /= norms[off, None]
-            order = np.argsort(ts, kind="stable")
-            ts = ts[order]
-            emb = emb[order]
-            request_ids = [request_ids[i] for i in order]
-            resolutions = [resolutions[i] for i in order]
+            # The stable sort is the identity on timestamps already in
+            # order, as every generated and saved trace's are.
+            if (ts[1:] < ts[:-1]).any():
+                order = np.argsort(ts, kind="stable")
+                ts = ts[order]
+                emb = emb[order]
+                request_ids = [request_ids[i] for i in order]
+                resolutions = [resolutions[i] for i in order]
 
         self.timestamps = ts
         self.request_ids = tuple(request_ids)

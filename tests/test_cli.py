@@ -1,15 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tradeoffs
+import tradeoffs.workload as workload
 from tradeoffs import (
     CacheCostParams,
     EmpiricalHitRate,
     ExponentialSaturation,
     GeneratorConfig,
     SimConfig,
+    Trace,
     curve_to_csv,
     expected_compute,
     generate_trace,
@@ -372,3 +378,130 @@ def test_fit_recovers_from_csv(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["params"]["beta"] == pytest.approx(0.7, rel=1e-6)
     assert doc["residual"] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# per-request records
+# ---------------------------------------------------------------------------
+
+# At 320 MB: four 720p entries (80 MB each) fill the cache, the fifth
+# request hits the first, the 1080p entry (200 MB) evicts the three least
+# recently used 720p entries, and a 2k entry (350 MB) is too large. The ids
+# hold a quote, a backslash, control characters, non-ASCII text and a lone
+# surrogate.
+_RECORD_ROWS = [
+    ('first "miss"', "720p", 0),
+    ("back\\slash", "720p", 1),
+    ("ctl\x01\x1f\n", "720p", 2),
+    ("héllo ✓ 東京", "720p", 3),
+    ("hit \udc80 lone", "720p", 0),
+    ("wide", "1080p", 4),
+    ("too large", "2k", 5),
+]
+
+
+def test_records_lines_are_json_dumps_of_each_record(tmp_path, capsys):
+    ids, res, axes = zip(*_RECORD_ROWS)
+    trace_path = tmp_path / "t.jsonl"
+    save_trace(Trace(range(len(ids)), ids, res, np.eye(8)[list(axes)]), trace_path)
+    recs = tmp_path / "recs.jsonl"
+    code, _, _ = run(capsys, "replay", "--trace", str(trace_path),
+                     "--capacity", "320MB", "--records", str(recs))
+    assert code == 0
+    expect = replay(load_trace(trace_path), SimConfig(capacity_bytes=320_000_000)).per_request
+    assert [r.outcome for r in expect] == ["miss"] * 4 + ["hit", "miss", "too_large"]
+    assert (expect[0].matched_id, expect[0].similarity) == (None, None)
+    assert len(expect[5].evicted) == 3
+    assert recs.read_bytes() == "".join(
+        json.dumps(r.to_dict()) + "\n" for r in expect).encode("ascii")
+
+
+def test_a_failure_of_the_trace_hash_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    trace_path = tmp_path / "t.jsonl"
+    save_trace(generate_trace(GeneratorConfig(num_requests=20, num_clusters=2,
+                                              dimension=8, seed=1)), trace_path)
+
+    def fail(path):
+        raise OSError(5, "Input/output error", str(path))
+
+    monkeypatch.setattr(workload, "_file_sha256", fail)
+    code, out, err = run(capsys, "replay", "--trace", str(trace_path), "--capacity", "1GB")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "IOError", "message": f"[Errno 5] Input/output error: '{trace_path}'"}
+
+
+# ---------------------------------------------------------------------------
+# the process exit
+# ---------------------------------------------------------------------------
+
+# The exit through the interpreter's teardown, as ``python -m tradeoffs``
+# left before it exited through ``os._exit``.
+_SYS_EXIT = "import sys; from tradeoffs.cli import main; sys.exit(main())"
+
+
+def _launch(cwd, launcher, argv):
+    """Exit code, stdout, stderr and the files written of one CLI process
+    run in ``cwd``, its stdout and stderr going to pipes."""
+    cwd.mkdir()
+    src = os.path.dirname(os.path.dirname(tradeoffs.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "TRINITY_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *launcher, *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["replay", "--capacity", "160MB", "--out", "rep.json", "--records", "recs.jsonl"], 0),
+    (["replay", "--capacity", "160MB"], 0),
+    (["sweep", "--capacities", "80MB,160MB,320MB", "--jobs", "2", "--out", "curve.csv"], 0),
+    (["gen", "--out", "g.jsonl", "--n", "50", "--clusters", "3", "--dim", "8"], 0),
+    (["replay", "--capacity", "1GB", "--trace", "no-such.jsonl"], 1),
+    (["replay", "--capacity", "1e400GB"], 2),
+    (["sweep", "--capacities", "80MB", "--jobs", "0"], 2),
+    (["fit", "--curve", "c.csv"], 2),
+], ids=["replay files", "replay stdout", "sweep", "gen", "missing trace", "bad capacity",
+        "bad jobs", "argparse"])
+def test_the_exit_without_teardown_keeps_codes_and_bytes(tmp_path, argv, code):
+    trace_path = tmp_path / "t.jsonl"
+    save_trace(generate_trace(GeneratorConfig(num_requests=60, num_clusters=5,
+                                              dimension=8, noise_sigma=0.01, seed=2)),
+               trace_path)
+    if argv[0] in ("replay", "sweep") and "--trace" not in argv:
+        argv = [*argv, "--trace", str(trace_path)]
+    fast = _launch(tmp_path / "os_exit", ["-m", "tradeoffs"], argv)
+    slow = _launch(tmp_path / "sys_exit", ["-c", _SYS_EXIT], argv)
+    assert fast[0] == code
+    assert fast == slow
+    assert (fast[1] or fast[3]) if code == 0 else fast[2]  # something to compare
+
+
+_IMPORTS_MULTIPROCESSING = (
+    "import sys; from tradeoffs.cli import main; code = main(); "
+    "print(code, 'multiprocessing' in sys.modules)"
+)
+
+
+def test_replay_and_fit_never_import_multiprocessing(tmp_path):
+    trace_path = tmp_path / "t.jsonl"
+    save_trace(generate_trace(GeneratorConfig(num_requests=60, num_clusters=5,
+                                              dimension=8, noise_sigma=0.01, seed=2)),
+               trace_path)
+    curve = tmp_path / "curve.csv"
+    write_curve_csv(sweep(load_trace(trace_path), SimConfig(capacity_bytes=0),
+                          [E720, 2 * E720, 4 * E720]), curve)
+    for argv in (["replay", "--trace", str(trace_path), "--capacity", "160MB",
+                  "--out", "rep.json", "--records", "recs.jsonl"],
+                 ["fit", "--curve", str(curve), "--family", "power"]):
+        code, out, err, _ = _launch(tmp_path / argv[0], ["-c", _IMPORTS_MULTIPROCESSING], argv)
+        assert (code, out.split()[-2:], err) == (0, [b"0", b"False"], b"")
+
+
+def test_the_console_script_is_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"tradeoffs": "tradeoffs.cli:entry"}

@@ -11,6 +11,7 @@ successful run writes must be accepted by the next stage's reader
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -138,3 +139,48 @@ def test_every_run_exits_0_1_or_2_and_prints_only_json(monkeypatch, files, case,
     else:
         assert code == 2, (code, out, err)
         assert out == ""
+    if argv[0] == "fit" and not 0 < float(argv[argv.index("--entry-size") + 1]) < math.inf:
+        assert code == 2  # checked for both families, though only exp uses it
+
+
+@pytest.mark.parametrize("family", ["exp", "power"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.0", "-1"])
+def test_fit_entry_size_is_checked_for_every_family(files, family, value):
+    code, out, err = _run(["fit", "--curve", files["curve"], "--family", family,
+                           f"--entry-size={value}"])
+    assert (code, out) == (2, "")
+    assert err == "error: entry_size_gb must be positive and finite\n"
+
+
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(1, 150),
+    clusters=st.integers(1, 12),
+    dim=st.integers(1, 8),
+    zipf=st.sampled_from([0.0, 0.5, 1.1, 3.0]),
+    sigma=st.sampled_from([0.0, 0.01, 0.05, 0.3, 2.0]),
+    mix=st.sampled_from(["720p=1.0", "1080p=1.0", "720p=0.5,1080p=0.3,2k=0.2", "2k=1.0"]),
+    seed=st.integers(0, 2**16),
+    steps=st.lists(st.integers(1, 60), min_size=3, max_size=7, unique=True),
+    flags=st.sets(st.sampled_from(["--insert-on-hit", "--cross-resolution"])),
+)
+def test_fit_takes_every_curve_that_sweep_writes(
+        tmp_path_factory, n, clusters, dim, zipf, sigma, mix, seed, steps, flags):
+    root = tmp_path_factory.mktemp("fit_sweep")
+    trace, curve = str(root / "t.jsonl"), str(root / "c.csv")
+    code, _, err = _run(["gen", "--out", trace, "--n", str(n), "--clusters", str(clusters),
+                         "--dim", str(dim), "--zipf", str(zipf), "--sigma", str(sigma),
+                         "--res-mix", mix, "--seed", str(seed)])
+    assert code == 0, err
+    capacities = ",".join(f"{40 * k}MB" for k in steps)  # 40 MB to 2.4 GB
+    code, _, err = _run(["sweep", "--trace", trace, "--capacities", capacities,
+                         "--jobs", "1", "--out", curve, *sorted(flags)])
+    assert code == 0, err
+    for family in ("exp", "power"):
+        code, out, err = _run(["fit", "--curve", curve, "--family", family])
+        assert code in (0, 1), (family, code, err)
+        if code == 0:
+            assert set(_json(out)) == {"family", "params", "residual"}
+        else:
+            assert _json(err)["error"] == "DegeneratePoints", (family, err)

@@ -423,6 +423,26 @@ def test_fit_degenerate_points():
         fit_hit_rate([(1.0, 0.5), (2.0, 1.0), (3.0, 0.9)], PowerLaw)
 
 
+@pytest.mark.parametrize("points", [
+    [(0.16, 0.5), (0.24, 0.5), (2.08, 0.5)],
+    [(0.04, 0.25), (0.4, 0.25), (4.0, 0.25), (40.0, 0.25)],
+])
+def test_power_fit_that_leaves_float_range_is_degenerate_quietly(points):
+    # A flat curve: ever larger kappa fits it better, until kappa * M overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePoints, match="best kappa leaves float range"):
+            fit_hit_rate(points, PowerLaw)
+        fit_hit_rate(points, ExponentialSaturation)
+
+
+@pytest.mark.parametrize("family", [ExponentialSaturation, PowerLaw])
+@pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+def test_fit_entry_size_must_be_positive_and_finite_for_every_family(family, size):
+    with pytest.raises(ValueError, match="entry_size_gb must be positive and finite"):
+        fit_hit_rate([(1.0, 0.3), (2.0, 0.5), (4.0, 0.7)], family, entry_size_gb=size)
+
+
 def test_fit_input_validation():
     with pytest.raises(DegeneratePoints):
         fit_hit_rate([(1.0, 0.5), (2.0, 0.6)], ExponentialSaturation)

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tradeoffs import (
     ExponentialSaturation,
     GeneratorConfig,
     ParseError,
+    PerRequestRecord,
     PowerLaw,
     ReuseDepthPolicy,
     SimConfig,
@@ -381,3 +383,22 @@ def test_fit_curve_forwards_degenerate_points():
     curve = [CurvePoint(E720 * k, 0.0, 0.0, 5e10) for k in (1, 2, 4)]
     with pytest.raises(DegeneratePoints):
         fit_curve(curve, ExponentialSaturation, entry_size_gb=0.08)
+
+
+_MISS = dict(request_id="r", outcome="miss", matched_id=None, similarity=None, depth=0,
+             saved_flops=0.0, evicted=())
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    dict(outcome="hit", matched_id=7, similarity=0.9612345678901234, depth=25,
+         saved_flops=2.5e10, evicted=(3, 1, 2)),
+    dict(request_id='q"\\\x00\x1f\u00e9\u6771\ud800\U0001f600', similarity=-0.0),
+    dict(similarity=float("nan"), saved_flops=float("inf")),
+    dict(similarity=float("-inf"), saved_flops=1e308, depth=10**30),
+    dict(similarity=np.float64(0.25), saved_flops=5, depth=True, matched_id=False),
+    dict(saved_flops=5e-324, evicted=(0,), outcome="too_large"),
+], ids=["miss", "hit", "odd id", "nan", "huge", "other types", "tiny"])
+def test_record_text_is_json_dumps_of_its_dict(fields):
+    rec = PerRequestRecord(**{**_MISS, **fields})
+    assert rec._json() == json.dumps(rec.to_dict())

@@ -52,6 +52,20 @@ def test_a_trace_of_no_rows_takes_its_dimension(tmp_path):
         Trace([], [], [], [], dimension=0)
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 3, 3, 3], [0, 0, 1, 1], [1, 0, 2, 2], [3, 2, 1, 0]])
+def test_rows_are_stably_sorted_into_copies(order):
+    ts, emb = np.array(order, dtype=np.int64), np.eye(4)[[2, 0, 3, 1]]
+    trace = Trace(ts, list("abcd"), ["720p", "2k", "720p", "1080p"], emb)
+    rows = np.argsort(ts, kind="stable")
+    assert trace.timestamps.tobytes() == ts[rows].tobytes()
+    assert trace.embeddings.tobytes() == emb[rows].tobytes()
+    assert trace.request_ids == tuple(np.array(list("abcd"))[rows])
+    assert trace.resolutions == tuple(np.array(["720p", "2k", "720p", "1080p"])[rows])
+    ts[0], emb[0, 0] = 9, 0.5  # the caller's arrays stay its own, and writable
+    assert trace.timestamps.tolist() == sorted(order)
+    assert trace.embeddings.tobytes() == np.eye(4)[[2, 0, 3, 1]][rows].tobytes()
+
+
 def test_sorting_is_stable():
     text = (
         '{"ts":5,"id":"b","res":"720p","emb":[0,1]}\n'
@@ -537,6 +551,59 @@ def test_a_file_without_a_sidecar_is_parsed_not_hashed(tmp_path, monkeypatch):
     monkeypatch.setattr(workload, "_file_sha256", lambda p: hashed.append(p) or "0" * 64)
     loaded = load_trace(path)
     assert loaded == trace and loaded.source_sha256 is None and hashed == []
+
+
+def _crlf(path, trace):
+    """Rewrite ``path`` as the same trace in other bytes: its sidecar is stale."""
+    path.write_bytes(serialize_trace(trace).replace("\n", "\r\n").encode())
+
+
+def test_a_stale_sidecar_parses_and_records_the_digest_of_the_file(tmp_path, parses):
+    trace = _mixed_trace(60, 4)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    _crlf(path, trace)
+    loaded = load_trace(path)
+    assert loaded == trace and parses == [str(path)]
+    assert loaded.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _forged_sidecar(path, digest):
+    """A sidecar under ``digest`` whose second embedding is zero."""
+    trace = _mixed_trace(10, 4)
+    emb = trace.embeddings.copy()
+    emb[1] = 0.0
+    ids = "".join(trace.request_ids).encode()
+    np.savez(_sidecar(path), version=np.array(workload._SIDECAR_VERSION),
+             sha256=np.array(digest), dimension=np.array(4), timestamps=trace.timestamps,
+             embeddings=emb, resolutions=np.zeros(10, dtype=np.int8),
+             ids=np.frombuffer(ids, dtype=np.uint8),
+             id_offsets=np.cumsum([0, *map(len, trace.request_ids)]))
+
+
+def test_a_sidecar_that_fails_its_checks_raises_only_if_it_is_the_files(tmp_path):
+    trace = _mixed_trace(20, 4)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    _forged_sidecar(path, "0" * 64)
+    assert load_trace(path) == trace
+    _forged_sidecar(path, hashlib.sha256(path.read_bytes()).hexdigest())
+    with pytest.raises(ZeroNormEmbedding, match="has a zero embedding"):
+        load_trace(path)
+
+
+def test_a_failure_of_the_hash_reaches_the_caller_unchanged(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    save_trace(_mixed_trace(30, 4), path)
+    failure = OSError(5, "Input/output error")
+
+    def fail(p):
+        raise failure
+
+    monkeypatch.setattr(workload, "_file_sha256", fail)
+    with pytest.raises(OSError) as exc:
+        load_trace(path)
+    assert exc.value is failure
 
 
 def test_trace_equality_detects_differences():
