@@ -79,6 +79,51 @@ def normalize(vec, tol: float = 1e-9) -> np.ndarray:
     return arr
 
 
+class _Certified:
+    """A row that :func:`_certify` showed :func:`normalize` returns as is.
+
+    ``lookup`` and ``insert`` take ``vec`` of their own width without
+    normalizing it again; ``replay`` passes a trace's rows this way while
+    still calling them once per request.
+    """
+
+    __slots__ = ("vec",)
+
+    def __init__(self, vec: np.ndarray):
+        self.vec = vec
+
+
+# A row is certified when its norm, computed in bulk, is within
+# _CERTIFY_TOL of 1. Higham (Accuracy and Stability of Numerical
+# Algorithms, ch. 3) bounds a d-term dot product computed in any order,
+# FMA or not, by |s - S| <= gamma_d * S, where S is the exact sum of
+# squares and gamma_d = d u / (1 - d u), u = 2**-53; underflow adds at
+# most d * 2**-1075 in all, nothing beside S near 1. The bulk sum
+# and normalize's ``dot`` thus differ by a factor within
+# (1 +- gamma_d) / (1 -+ gamma_d), their square roots by about gamma_d,
+# and the two correctly rounded ``sqrt`` calls by 2u more. Up to
+# _CERTIFY_MAX_DIM = 2**20, gamma_d < 1.2e-10, so a bulk norm within
+# 5e-10 of 1 puts normalize's norm within 6.3e-10 of 1, inside its 1e-9
+# tolerance (and ``norm - 1.0`` is exact there, by Sterbenz's lemma).
+# Wider rows are never certified.
+_CERTIFY_TOL = 5e-10
+_CERTIFY_MAX_DIM = 2**20
+
+
+def _certify(matrix: np.ndarray) -> list:
+    """The rows of a 2-d float64 matrix, each wrapped in :class:`_Certified`
+    when ``normalize`` would return it unchanged and left a plain row
+    (normalized per call) otherwise, with one vectorized norm pass."""
+    if matrix.dtype != np.float64 or matrix.shape[1] > _CERTIFY_MAX_DIM:
+        return list(matrix)  # normalize would copy such rows, or may divide them
+    with np.errstate(all="ignore"):  # a huge or non-finite row is just not certified
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    rows = list(map(_Certified, matrix))
+    for i in np.flatnonzero(~(np.abs(norms - 1.0) <= _CERTIFY_TOL)).tolist():
+        rows[i] = matrix[i]
+    return rows
+
+
 @dataclass(frozen=True)
 class ReuseDepthPolicy:
     """Maps cosine similarity to reuse depth via threshold bands.
@@ -208,6 +253,10 @@ class CacheState:
     recently used entry wins, and eviction removes the least recently
     used entry across all partitions, with no further tie-break needed.
     ``latent_bytes`` must cover every entry of ``RESOLUTIONS``.
+
+    ``lookup`` and ``insert`` pass their embedding through ``normalize``
+    and check its width, unless it is a row of this width that
+    ``_certify`` has already shown ``normalize`` returns as is.
     """
 
     def __init__(
@@ -256,7 +305,7 @@ class CacheState:
             raise ValueError(f"unknown resolution {resolution!r}") from None
 
     def _check_vec(self, embedding) -> np.ndarray:
-        vec = normalize(embedding)
+        vec = embedding.vec if type(embedding) is _Certified else normalize(embedding)
         if vec.shape[0] != self.dim:
             raise DimensionMismatch(f"expected dimension {self.dim}, got {vec.shape[0]}")
         return vec
@@ -283,7 +332,10 @@ class CacheState:
         Always consumes one tick. A hit refreshes the matched entry's
         recency; a below-threshold best match does not.
         """
-        vec = self._check_vec(embedding)
+        if type(embedding) is _Certified and len(embedding.vec) == self.dim:
+            vec = embedding.vec
+        else:
+            vec = self._check_vec(embedding)
         part = self._partition(resolution)
         tick = self.tick
         self.tick += 1
@@ -320,7 +372,10 @@ class CacheState:
         Raises :class:`EntryTooLarge` before consuming a tick or evicting
         anything when the entry alone exceeds the budget.
         """
-        vec = self._check_vec(embedding)
+        if type(embedding) is _Certified and len(embedding.vec) == self.dim:
+            vec = embedding.vec
+        else:
+            vec = self._check_vec(embedding)
         part = self._partition(resolution)
         if byte_size is None:
             byte_size = self._entry_size[resolution]

@@ -413,11 +413,15 @@ def _validate_fit_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     caps = np.asarray([m for m, _ in points], dtype=float)
     rates = np.asarray([h for _, h in points], dtype=float)
+    if not (np.isfinite(caps).all() and np.isfinite(rates).all()):
+        raise ValueError("capacities and hit rates must be finite")
     if len(points) < 3:
         raise DegeneratePoints("at least 3 points are required")
     if np.any(caps <= 0):
         raise DegeneratePoints("capacities must be positive")
-    if len(np.unique(caps)) != len(caps):
+    # Not np.unique, whose first call imports numpy.ma (about 12 ms).
+    ordered = np.sort(caps)
+    if (ordered[1:] == ordered[:-1]).any():
         raise DegeneratePoints("capacities must be distinct")
     if np.any(rates < 0) or np.any(rates > 1):
         raise ValueError("hit rates must lie in [0, 1]")
@@ -454,9 +458,17 @@ def _power_law_residual(caps, rates, kappa: float, gamma: float) -> float:
     return float(np.sqrt(np.mean((fitted - rates) ** 2)))
 
 
+def _median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` of finite values, bit for bit, without
+    the numpy.ma import of np.median's first call."""
+    ordered = np.sort(values).tolist()
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _fit_power_law(caps, rates) -> tuple[PowerLaw, float]:
     y = np.log1p(-rates)
-    scale = 1.0 / float(np.median(caps))
+    scale = 1.0 / _median(caps)
 
     def evaluate(kappa: float) -> tuple[float, float]:
         # Where kappa * M overflows, or ln(1 + kappa M) underflows to 0,
@@ -514,9 +526,10 @@ def fit_hit_rate(
 
     Raises :class:`DegeneratePoints` for fewer than three points, a
     capacity that is not positive, a repeated capacity, a rate equal to
-    1, or all rates 0, and ``ValueError`` for a rate outside [0, 1], an
-    entry size that is not positive and finite, an unsupported family,
-    or an exponential fit that leaves no finite beta.
+    1, or all rates 0, and ``ValueError`` for a capacity or rate that is
+    not finite, a rate outside [0, 1], an entry size that is not positive
+    and finite, an unsupported family, or an exponential fit that leaves
+    no finite beta.
     """
     caps, rates = _validate_fit_points(points)
     if not 0 < entry_size_gb < math.inf:

@@ -29,6 +29,7 @@ from .cache import (
     RESOLUTIONS,
     CacheState,
     ReuseDepthPolicy,
+    _certify,
 )
 from .errors import EntryTooLarge
 from .models import FitResult, HitRateModel, fit_hit_rate
@@ -249,8 +250,11 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     # Bound once per replay: every call still goes through whatever
     # CacheState.lookup/insert are when the replay starts, wrappers included.
     lookup, insert = cache.lookup, cache.insert
+    # Checked here, once per replay, not kept on the trace: its array may
+    # have been made writable and changed since the last replay.
+    rows = _certify(trace.embeddings)
 
-    for rid, emb, res in zip(trace.request_ids, trace.embeddings, trace.resolutions):
+    for rid, emb, res in zip(trace.request_ids, rows, trace.resolutions):
         step_cost = config.step_cost_by_resolution[res]
         total_full += config.total_steps * step_cost
 
@@ -408,7 +412,10 @@ def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -
 
 
 def _curve_row(cap_gb: float, hit: float, saved: float, cost: float) -> CurvePoint:
-    return CurvePoint(int(round(cap_gb * GB)), hit, saved, cost)
+    capacity = cap_gb * GB
+    if not -math.inf < capacity < math.inf:  # finite in GB, out of float range in bytes
+        raise ValueError("capacity is out of range")
+    return CurvePoint(round(capacity), hit, saved, cost)
 
 
 def read_curve_csv(source: str | os.PathLike | IO) -> list[CurvePoint]:
@@ -416,6 +423,7 @@ def read_curve_csv(source: str | os.PathLike | IO) -> list[CurvePoint]:
 
     Raises :class:`ParseError` with its line number for a wrong header,
     a row without exactly four values, a value that is not a finite
-    number, a negative capacity, or a hit rate outside [0, 1].
+    number, a negative capacity or one too large to count in bytes, or a
+    hit rate outside [0, 1].
     """
     return _read_float_csv(source, CURVE_CSV_HEADER, _curve_row)

@@ -570,9 +570,7 @@ def _format_rows(trace: Trace, rows: tuple[int, int]) -> list[str]:
     """The JSON lines of rows ``[start, stop)``: each is the text of
     ``json.dumps(record, separators=(",", ":"))``, written here from the
     parts ``json.dumps`` would write."""
-    # Imported on first use: building its tables takes about 2 ms, which
-    # every command that writes no trace would pay at startup.
-    from ._floatrepr import float_rows
+    from ._floatrepr import float_rows  # imported by serialize_trace
 
     start, stop = rows
     res_json = {res: _json_string(res) for res in RESOLUTIONS}
@@ -596,6 +594,11 @@ def serialize_trace(trace: Trace) -> str:
     formatted in one share of rows per CPU, in forked workers; the text
     is the same.
     """
+    # Imported on first use, since building its tables takes about 2 ms
+    # that every command writing no trace would pay at startup, and before
+    # the fork, so that workers inherit the tables instead of building them.
+    from . import _floatrepr  # noqa: F401
+
     n = len(trace)
     ways = min(_share_count(n * trace.dimension), n)
     shares = [(n * i // ways, n * (i + 1) // ways) for i in range(ways)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from _reference import RefCache
+from tradeoffs.cache import _certify, _Certified
 from tradeoffs import (
     DEFAULT_LATENT_BYTES,
     DEFAULT_POLICY,
@@ -76,6 +79,67 @@ def test_normalize_rejects_non_finite():
     with pytest.raises(NonFiniteEmbedding):
         c.lookup([np.nan, 1.0], "720p")
     assert c.tick == 0
+
+
+# ---------------------------------------------------------------------------
+# rows certified in bulk
+# ---------------------------------------------------------------------------
+
+
+def rows_with_norms(rng, dim, norms):
+    rows = rng.standard_normal((len(norms), dim))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return rows * np.asarray(norms)[:, None]
+
+
+# Norm offsets from 1 on a grid that stays clear of the 5e-10 margin and
+# the 1e-9 tolerance, plus offsets just inside and outside each.
+OFFSETS = np.concatenate([np.linspace(-1.2e-9, 1.2e-9, 48),
+                          [4.9e-10, 5.1e-10, 0.99e-9, 1.01e-9],
+                          [-4.9e-10, -5.1e-10, -0.99e-9, -1.01e-9]])
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, 768])
+def test_certified_rows_are_rows_normalize_returns_as_is(dim):
+    matrix = rows_with_norms(np.random.default_rng(dim), dim, 1.0 + OFFSETS)
+    rows = _certify(matrix)
+    assert len(rows) == len(OFFSETS)
+    for i, (row, offset) in enumerate(zip(rows, OFFSETS)):
+        if abs(offset) < 5e-10:
+            assert type(row) is _Certified
+            assert normalize(row.vec) is row.vec
+            assert row.vec.base is matrix and np.array_equal(row.vec, matrix[i])
+        else:
+            # Normalized per call: returned as is inside the tolerance, divided outside.
+            assert type(row) is np.ndarray and row.base is matrix
+            assert (normalize(row) is row) == (abs(offset) < 1e-9)
+
+
+def test_certify_leaves_unfit_rows_and_matrices_plain():
+    odd = np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200], [0.6, 0.8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _certify(odd)
+    assert [type(r) is _Certified for r in rows] == [False, False, False, False, True]
+    # normalize would copy a float32 row, so none is certified.
+    assert not any(type(r) is _Certified for r in _certify(odd[4:].astype(np.float32)))
+    # The margin holds up to 2**20 columns and no further.
+    for dim, certified in ((2**20, True), (2**20 + 1, False)):
+        (row,) = _certify(np.full((1, dim), 1.0 / np.sqrt(dim)))
+        assert (type(row) is _Certified) == certified
+        vec = row.vec if certified else row
+        assert normalize(vec) is vec
+
+
+def test_certified_row_of_another_width_is_a_dimension_mismatch():
+    c = CacheState(capacity_bytes=E720, dim=8)
+    (row,) = _certify(np.eye(4)[:1])
+    assert type(row) is _Certified
+    with pytest.raises(DimensionMismatch):
+        c.lookup(row, "720p")
+    with pytest.raises(DimensionMismatch):
+        c.insert(row, "720p")
+    assert (c.tick, len(c)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,8 @@ def test_frontier_out_of_range_sample_is_domain_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("row, error, message", [
     *(pytest.param(row, "ParseError", "line 3:", id=row) for row in (
-        "0.08,0.5,0", "0.08,0.5,0,0,0", "0.08,x,0,0", "inf,0.5,0,0", "-0.3,0.4,0,0")),
+        "0.08,0.5,0", "0.08,0.5,0,0,0", "0.08,x,0,0", "inf,0.5,0,0", "-0.3,0.4,0,0",
+        "1e300,0.5,0,0")),
     # A capacity-0 row is one that sweep itself writes.
     pytest.param("0,0.1,0,0", "DegeneratePoints", "capacities must be positive", id="0,0.1,0,0"),
     pytest.param("0.04,0.5,0,0", "DegeneratePoints", "capacities must be distinct",
@@ -478,9 +479,10 @@ def test_the_exit_without_teardown_keeps_codes_and_bytes(tmp_path, argv, code):
     assert (fast[1] or fast[3]) if code == 0 else fast[2]  # something to compare
 
 
-_IMPORTS_MULTIPROCESSING = (
+_PRINT_IMPORTS = (
     "import sys; from tradeoffs.cli import main; code = main(); "
-    "print(code, 'multiprocessing' in sys.modules)"
+    "print(code, *(m in sys.modules for m in "
+    "('multiprocessing', 'numpy.ma', 'tradeoffs._floatrepr')))"
 )
 
 
@@ -492,11 +494,23 @@ def test_replay_and_fit_never_import_multiprocessing(tmp_path):
     curve = tmp_path / "curve.csv"
     write_curve_csv(sweep(load_trace(trace_path), SimConfig(capacity_bytes=0),
                           [E720, 2 * E720, 4 * E720]), curve)
+    # Nor do they import numpy.ma (fit) or the trace float formatter.
     for argv in (["replay", "--trace", str(trace_path), "--capacity", "160MB",
                   "--out", "rep.json", "--records", "recs.jsonl"],
-                 ["fit", "--curve", str(curve), "--family", "power"]):
-        code, out, err, _ = _launch(tmp_path / argv[0], ["-c", _IMPORTS_MULTIPROCESSING], argv)
-        assert (code, out.split()[-2:], err) == (0, [b"0", b"False"], b"")
+                 ["fit", "--curve", str(curve), "--family", "power"],
+                 ["fit", "--curve", str(curve), "--family", "exp"]):
+        code, out, err, _ = _launch(tmp_path / f"{argv[0]}-{argv[-1]}",
+                                    ["-c", _PRINT_IMPORTS], argv)
+        assert (code, out.split()[-4:], err) == (0, [b"0", b"False", b"False", b"False"], b"")
+
+
+def test_gen_imports_the_float_formatter_once(tmp_path):
+    # serialize_trace imports it before forking, so a split's workers
+    # inherit it instead of importing it again.
+    argv = ["gen", "--out", "t.jsonl", "--n", "2000", "--clusters", "20", "--dim", "64"]
+    code, _, err, files = _launch(tmp_path / "gen", ["-X", "importtime", "-m", "tradeoffs"], argv)
+    assert code == 0 and "t.jsonl" in files
+    assert err.count(b" tradeoffs._floatrepr\n") == 1
 
 
 def test_the_console_script_is_the_same_entry():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tradeoffs.models as models
 from tradeoffs import (
     CacheCostParams,
     DegeneratePoints,
@@ -452,6 +453,27 @@ def test_fit_input_validation():
         fit_hit_rate([(0.0, 0.1), (1.0, 0.5), (2.0, 0.7)], PowerLaw)
     with pytest.raises(ValueError):
         fit_hit_rate([(1.0, 0.5), (2.0, 0.6), (3.0, 0.7)], EmpiricalHitRate)
+
+
+@pytest.mark.parametrize("family", [ExponentialSaturation, PowerLaw])
+@pytest.mark.parametrize("points", [
+    [(1.0, 0.3), (math.nan, 0.5), (4.0, 0.7)],
+    [(1.0, 0.3), (2.0, 0.5), (math.inf, 0.7)],
+    [(1.0, 0.3), (math.nan, 0.5), (math.nan, 0.7)],
+    [(1.0, 0.3), (2.0, math.nan), (4.0, 0.7)],
+    [(1.0, 0.3), (2.0, 0.5), (4.0, -math.inf)],
+], ids=["nan capacity", "inf capacity", "two nan capacities", "nan rate", "-inf rate"])
+def test_fit_rejects_non_finite_points(family, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="capacities and hit rates must be finite"):
+            fit_hit_rate(points, family)
+
+
+@given(st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=1, max_size=9))
+def test_median_is_numpy_median_bit_for_bit(values):
+    values = np.array(values)
+    assert models._median(values) == float(np.median(values))
 
 
 def test_fit_noisy_data_still_reasonable():

@@ -4,15 +4,19 @@ import json
 import numpy as np
 import pytest
 
+import tradeoffs.cache as cache_module
 import tradeoffs.cli as cli
 import tradeoffs.sim as sim
 import tradeoffs.workload as workload
+from _reference import ref_replay
 from tradeoffs import (
+    RESOLUTIONS,
     CacheState,
     DegeneratePoints,
     CurvePoint,
     ExponentialSaturation,
     GeneratorConfig,
+    NonFiniteEmbedding,
     ParseError,
     PerRequestRecord,
     PowerLaw,
@@ -22,10 +26,12 @@ from tradeoffs import (
     curve_to_csv,
     fit_curve,
     generate_trace,
+    normalize,
     read_curve_csv,
     replay,
     sweep,
 )
+from tradeoffs.cache import _certify, _Certified
 
 E720 = 80_000_000
 
@@ -207,6 +213,98 @@ def test_report_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# rows checked once per replay
+# ---------------------------------------------------------------------------
+
+# One 80 MB entry size for every resolution, the one size ref_replay takes.
+EVEN_SIZES = dict.fromkeys(RESOLUTIONS, E720 // 5)
+
+
+def three_res_trace(seed, n=200, dim=8):
+    return generate_trace(GeneratorConfig(
+        num_requests=n, num_clusters=12, dimension=dim, noise_sigma=0.05,
+        resolution_mix={"720p": 0.5, "1080p": 0.3, "2k": 0.2}, seed=seed))
+
+
+def straddling_trace(seed):
+    """A trace whose rows are, in turn, certified in bulk, normalized per
+    call and returned as is, and divided per call; the last kind only
+    through an array made writable after construction."""
+    trace = three_res_trace(seed)
+    trace.embeddings.setflags(write=True)
+    trace.embeddings[1::4] *= 1 + 7e-10
+    trace.embeddings[2::4] *= 1 - 7e-10
+    trace.embeddings[3::4] *= 1 + 3e-9
+    return trace
+
+
+def row_kinds(trace):
+    return {"certified" if type(r) is _Certified else "as is" if normalize(r) is r
+            else "divided" for r in _certify(trace.embeddings)}
+
+
+@pytest.mark.parametrize("insert_on_hit", [False, True])
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("seed, entries", [(0, 2), (1, 3), (2, 5), ("straddling", 3)])
+def test_replay_matches_the_reference_and_a_replay_of_plain_rows(
+        monkeypatch, insert_on_hit, cross, seed, entries):
+    trace = straddling_trace(3) if seed == "straddling" else three_res_trace(seed)
+    assert row_kinds(trace) == ({"certified", "as is", "divided"} if seed == "straddling"
+                                else {"certified"})
+    capacity = entries * E720
+    config = SimConfig(capacity_bytes=capacity, latent_bytes_by_resolution=EVEN_SIZES,
+                       insert_on_hit=insert_on_hit, cross_resolution_match=cross)
+    report = replay(trace, config)
+    assert report.summary.hits and report.summary.evictions
+
+    got = [(r.outcome, r.depth, r.matched_id if r.outcome == "hit" else None, r.evicted)
+           for r in report.per_request]
+    want = [(o, d, m if o == "hit" else None, ev) for o, d, m, ev in ref_replay(
+        [(normalize(row).tolist(), res) for row, res in zip(trace.embeddings, trace.resolutions)],
+        capacity, E720, same_res=not cross, insert_on_hit=insert_on_hit)]
+    assert got == want
+
+    monkeypatch.setattr(sim, "_certify", list)  # every row normalized per call
+    assert replay(trace, config) == report
+
+
+def test_replay_checks_the_rows_again_on_every_call(monkeypatch):
+    trace = three_res_trace(5)
+    config = SimConfig(capacity_bytes=3 * E720)
+    first = replay(trace, config)
+    trace.embeddings.setflags(write=True)
+    trace.embeddings[7] *= 3.0
+    scaled = replay(trace, config)
+    assert scaled != first
+    row = trace.embeddings[9].copy()
+    trace.embeddings[9] = np.nan
+    with pytest.raises(NonFiniteEmbedding):
+        replay(trace, config)
+    trace.embeddings[9] = row
+    monkeypatch.setattr(sim, "_certify", list)
+    assert replay(trace, config) == scaled
+
+
+def test_replay_of_a_generated_trace_normalizes_no_row_per_call(monkeypatch):
+    trace = three_res_trace(6, n=400, dim=64)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_normalize(*args, **kwargs)
+
+    real_normalize = cache_module.normalize
+    monkeypatch.setattr(cache_module, "normalize", counted)
+    for insert_on_hit in (False, True):
+        report = replay(trace, SimConfig(capacity_bytes=4 * E720, insert_on_hit=insert_on_hit))
+        assert report.summary.hits
+    assert calls == []
+    # The counter sees the calls the cache makes for a plain row.
+    CacheState(E720, dim=64).lookup(trace.embeddings[0], "720p")
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
@@ -347,6 +445,9 @@ def test_curve_csv_rejects_wrong_header():
     ("0.08,nan,0,0", "values must be finite"),
     ("-0.3,0.4,0,0", "capacity must be nonnegative"),
     ("0.08,1.5,0,0", r"hit rate must lie in \[0, 1\]"),
+    # Finite in GB, beyond float range in bytes.
+    ("1e300,0.5,1,1", "capacity is out of range"),
+    ("-1e300,0.5,1,1", "capacity is out of range"),
 ])
 def test_curve_csv_rejects_malformed_rows_on_their_line(row, fragment):
     text = "capacity_gb,hit_rate,saved_flops,expected_cost_flops\n\n0.04,0.25,0,0\n" + row + "\n"
