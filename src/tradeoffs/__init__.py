@@ -13,135 +13,27 @@ closes the loop by fitting the analytic hit-rate families to sweep
 output.
 
 All randomness flows through NumPy's PCG64 generator with explicit
-seeds, and all outputs (JSON, CSV, traces) are byte-deterministic.
+seeds. The same trace and configuration, run with the same numpy build
+and BLAS kernel, give the same output bytes (JSON, CSV, traces); exact
+ties between identical embeddings may be decided by row position rather
+than recency, because the BLAS rounding of a similarity can depend on
+where its row sits in the matrix.
 """
 
-from .cache import (
-    DEFAULT_DIM,
-    DEFAULT_LATENT_BYTES,
-    DEFAULT_POLICY,
-    DEFAULT_STORED_DEPTHS,
-    RESOLUTIONS,
-    CacheEntry,
-    CacheState,
-    LookupResult,
-    ReuseDepthPolicy,
-    normalize,
-    reuse_depth,
-)
-from .errors import (
-    DegeneratePoints,
-    DimensionMismatch,
-    EntryTooLarge,
-    Infeasible,
-    NegativeCapacity,
-    NonDifferentiableModel,
-    NonFiniteEmbedding,
-    ParseError,
-    TradeoffError,
-    ZeroNormEmbedding,
-)
-from .models import (
-    CacheCostParams,
-    CacheEconomics,
-    DeficitParams,
-    EmpiricalHitRate,
-    ExponentialSaturation,
-    FitResult,
-    FrontierResult,
-    HitRateModel,
-    PowerLaw,
-    RateComputeSample,
-    comm_cost,
-    expected_compute,
-    fit_hit_rate,
-    frontier_min_bandwidth,
-    marginal_benefit,
-    memory_deficit,
-)
-from .sim import (
-    CurvePoint,
-    PerRequestRecord,
-    ReplayReport,
-    ReplaySummary,
-    SimConfig,
-    curve_to_csv,
-    fit_curve,
-    read_curve_csv,
-    replay,
-    sweep,
-    write_curve_csv,
-)
-from .workload import (
-    GeneratorConfig,
-    Trace,
-    generate_trace,
-    load_trace,
-    save_trace,
-    serialize_trace,
-)
+from . import cache, errors, models, sim, workload
+from .errors import *
+from .models import *
+from .cache import *
+from .workload import *
+from .sim import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "TradeoffError",
-    "Infeasible",
-    "NegativeCapacity",
-    "NonDifferentiableModel",
-    "DegeneratePoints",
-    "DimensionMismatch",
-    "ZeroNormEmbedding",
-    "NonFiniteEmbedding",
-    "ParseError",
-    "EntryTooLarge",
-    # models
-    "RateComputeSample",
-    "DeficitParams",
-    "CacheCostParams",
-    "HitRateModel",
-    "ExponentialSaturation",
-    "PowerLaw",
-    "EmpiricalHitRate",
-    "FrontierResult",
-    "CacheEconomics",
-    "FitResult",
-    "memory_deficit",
-    "comm_cost",
-    "frontier_min_bandwidth",
-    "expected_compute",
-    "marginal_benefit",
-    "fit_hit_rate",
-    # cache
-    "RESOLUTIONS",
-    "DEFAULT_LATENT_BYTES",
-    "DEFAULT_STORED_DEPTHS",
-    "DEFAULT_POLICY",
-    "DEFAULT_DIM",
-    "normalize",
-    "ReuseDepthPolicy",
-    "reuse_depth",
-    "CacheEntry",
-    "LookupResult",
-    "CacheState",
-    # workload
-    "Trace",
-    "GeneratorConfig",
-    "load_trace",
-    "serialize_trace",
-    "save_trace",
-    "generate_trace",
-    # sim
-    "SimConfig",
-    "PerRequestRecord",
-    "ReplaySummary",
-    "ReplayReport",
-    "CurvePoint",
-    "replay",
-    "sweep",
-    "fit_curve",
-    "curve_to_csv",
-    "write_curve_csv",
-    "read_curve_csv",
+    *errors.__all__,
+    *models.__all__,
+    *cache.__all__,
+    *workload.__all__,
+    *sim.__all__,
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_DIM",
     "normalize",
     "ReuseDepthPolicy",
-    "reuse_depth",
     "CacheEntry",
     "LookupResult",
     "CacheState",
@@ -55,12 +54,17 @@ DEFAULT_DIM = 768
 _RES_CODE = {res: code for code, res in enumerate(RESOLUTIONS)}
 
 
-def normalize(vec, tol: float = 1e-9) -> np.ndarray:
+# How far from unit norm a vector may be and still pass through
+# normalize (and Trace) undivided.
+_UNIT_TOL = 1e-9
+
+
+def normalize(vec) -> np.ndarray:
     """Return ``vec`` as a unit-norm float64 vector.
 
-    Vectors already within ``tol`` of unit norm are passed through
+    Vectors already within 1e-9 of unit norm are passed through
     undivided, so normalizing twice is the identity bit-for-bit; a
-    float64 array already within ``tol`` is returned as is, not copied.
+    float64 array already within 1e-9 is returned as is, not copied.
     The input is never modified. Raises :class:`ZeroNormEmbedding` for
     the zero vector and :class:`NonFiniteEmbedding` when the norm is
     NaN or infinite.
@@ -74,7 +78,7 @@ def normalize(vec, tol: float = 1e-9) -> np.ndarray:
         raise NonFiniteEmbedding("embedding has a non-finite norm")
     if norm == 0.0:
         raise ZeroNormEmbedding("cannot normalize the zero vector")
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > _UNIT_TOL:
         arr = arr / norm
     return arr
 
@@ -103,8 +107,8 @@ class _Certified:
 # (1 +- gamma_d) / (1 -+ gamma_d), their square roots by about gamma_d,
 # and the two correctly rounded ``sqrt`` calls by 2u more. Up to
 # _CERTIFY_MAX_DIM = 2**20, gamma_d < 1.2e-10, so a bulk norm within
-# 5e-10 of 1 puts normalize's norm within 6.3e-10 of 1, inside its 1e-9
-# tolerance (and ``norm - 1.0`` is exact there, by Sterbenz's lemma).
+# 5e-10 of 1 puts normalize's norm within 6.3e-10 of 1, inside its
+# _UNIT_TOL (and ``norm - 1.0`` is exact there, by Sterbenz's lemma).
 # Wider rows are never certified.
 _CERTIFY_TOL = 5e-10
 _CERTIFY_MAX_DIM = 2**20
@@ -159,11 +163,6 @@ class ReuseDepthPolicy:
 DEFAULT_POLICY = ReuseDepthPolicy(
     bands=((0.95, 25), (0.90, 20), (0.85, 15), (0.75, 10), (0.65, 5))
 )
-
-
-def reuse_depth(similarity: float, policy: ReuseDepthPolicy = DEFAULT_POLICY) -> int:
-    """Reuse depth for a similarity under ``policy`` (default bands above)."""
-    return policy.depth_for(similarity)
 
 
 @dataclass

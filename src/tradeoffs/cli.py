@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from typing import NoReturn
 
 import numpy as np
@@ -293,19 +294,7 @@ def _cost_params(args) -> CacheCostParams:
 
 def _cmd_expected_compute(args) -> int:
     model = _build_model(args, args.entry_size)
-    econ = expected_compute(_cost_params(args), model, args.capacity)
-    _emit(
-        {
-            "capacity_gb": econ.capacity_gb,
-            "hit_rate": econ.hit_rate,
-            "full_cost_flops": econ.full_cost_flops,
-            "reuse_savings_flops": econ.reuse_savings_flops,
-            "expected_saved_flops": econ.expected_saved_flops,
-            "expected_cost_flops": econ.expected_cost_flops,
-            "entry_count": econ.entry_count,
-            "saved_flops_per_gb": econ.saved_flops_per_gb,
-        }
-    )
+    _emit(asdict(expected_compute(_cost_params(args), model, args.capacity)))
     return 0
 
 

@@ -5,6 +5,19 @@ so CLI and library users can catch one base class. Names double as the
 machine-readable ``error`` field in CLI error output.
 """
 
+__all__ = [
+    "TradeoffError",
+    "Infeasible",
+    "NegativeCapacity",
+    "NonDifferentiableModel",
+    "DegeneratePoints",
+    "DimensionMismatch",
+    "ZeroNormEmbedding",
+    "NonFiniteEmbedding",
+    "ParseError",
+    "EntryTooLarge",
+]
+
 
 class TradeoffError(Exception):
     """Base class for all domain errors raised by this package."""

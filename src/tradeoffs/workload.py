@@ -35,7 +35,7 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 
 from ._forkmap import fork_map, fork_workers
-from .cache import DEFAULT_DIM, RESOLUTIONS
+from .cache import _UNIT_TOL, DEFAULT_DIM, RESOLUTIONS
 from .errors import (
     DimensionMismatch,
     NonFiniteEmbedding,
@@ -115,7 +115,7 @@ class Trace:
             if np.any(norms == 0.0):
                 bad = int(np.argmax(norms == 0.0))
                 raise ZeroNormEmbedding(f"request {request_ids[bad]!r} has a zero embedding")
-            off = np.abs(norms - 1.0) > 1e-9
+            off = np.abs(norms - 1.0) > _UNIT_TOL
             if np.any(off):
                 emb[off] /= norms[off, None]
             # The stable sort is the identity on timestamps already in

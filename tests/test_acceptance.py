@@ -12,6 +12,7 @@ import numpy as np
 
 from _reference import ref_replay
 from tradeoffs import (
+    DEFAULT_POLICY,
     CacheCostParams,
     DeficitParams,
     EmpiricalHitRate,
@@ -29,7 +30,6 @@ from tradeoffs import (
     marginal_benefit,
     memory_deficit,
     replay,
-    reuse_depth,
     sweep,
 )
 from tradeoffs.cli import main as cli_main
@@ -87,7 +87,7 @@ def test_c03_frontier_example():
 def test_c04_retrieval_table():
     sims = (0.96, 0.95, 0.92, 0.90, 0.87, 0.85, 0.80, 0.75, 0.70, 0.65, 0.50)
     want = (25, 20, 20, 15, 15, 10, 10, 5, 5, 0, 0)
-    got = tuple(reuse_depth(s) for s in sims)
+    got = tuple(DEFAULT_POLICY.depth_for(s) for s in sims)
     ok = got == want
     _verdict(4, "similarity-to-depth table, 11 probe points", ok, f"depths={got}")
 

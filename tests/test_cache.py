@@ -19,7 +19,6 @@ from tradeoffs import (
     ReuseDepthPolicy,
     ZeroNormEmbedding,
     normalize,
-    reuse_depth,
 )
 
 E720 = 5 * DEFAULT_LATENT_BYTES["720p"]  # 80 MB
@@ -151,15 +150,15 @@ def test_depth_table():
     table = {0.96: 25, 0.95: 20, 0.92: 20, 0.90: 15, 0.87: 15,
              0.85: 10, 0.80: 10, 0.75: 5, 0.70: 5, 0.65: 0, 0.50: 0}
     for sim, depth in table.items():
-        assert reuse_depth(sim) == depth, sim
+        assert DEFAULT_POLICY.depth_for(sim) == depth, sim
 
 
 def test_depth_band_bounds_are_exclusive():
     # A similarity exactly at a bound belongs to the band below it.
-    assert reuse_depth(0.95) == 20
-    assert reuse_depth(0.9) == 15
-    assert reuse_depth(0.65) == 0
-    assert reuse_depth(-1.0) == 0
+    assert DEFAULT_POLICY.depth_for(0.95) == 20
+    assert DEFAULT_POLICY.depth_for(0.9) == 15
+    assert DEFAULT_POLICY.depth_for(0.65) == 0
+    assert DEFAULT_POLICY.depth_for(-1.0) == 0
 
 
 def test_policy_validation():
@@ -176,7 +175,7 @@ def test_policy_validation():
 @given(s1=st.floats(-1.0, 1.0), s2=st.floats(-1.0, 1.0))
 def test_depth_nonincreasing_in_similarity(s1, s2):
     lo, hi = sorted((s1, s2))
-    assert reuse_depth(hi) >= reuse_depth(lo)
+    assert DEFAULT_POLICY.depth_for(hi) >= DEFAULT_POLICY.depth_for(lo)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,12 @@ def test_expected_compute_matches_library(capsys):
     assert doc["expected_cost_flops"] == econ.expected_cost_flops
     assert doc["entry_count"] == econ.entry_count
     assert doc["saved_flops_per_gb"] == econ.saved_flops_per_gb
+    assert out == (
+        '{\n  "capacity_gb": 10.0,\n  "hit_rate": 0.6,\n'
+        '  "full_cost_flops": 50000000000.0,\n  "reuse_savings_flops": 20000000000.0,\n'
+        '  "expected_saved_flops": 12000000000.0,\n  "expected_cost_flops": 38000000000.0,\n'
+        '  "entry_count": 5,\n  "saved_flops_per_gb": 1200000000.0\n}\n'
+    )
 
 
 def test_marginal_matches_library(capsys):
@@ -296,6 +302,13 @@ def test_replay_outputs_and_records(tmp_path, capsys):
     expect = replay(trace, SimConfig(capacity_bytes=160_000_000))
     doc = json.loads(out.read_text())
     assert doc["summary"] == expect.summary.to_dict()
+    assert out.read_text() == (
+        '{\n  "capacity_bytes": 160000000,\n  "summary": {\n    "requests": 60,\n'
+        '    "hits": 45,\n    "hit_rate": 0.75,\n    "mean_depth_over_hits": 17.88888888888889,\n'
+        '    "total_saved_flops": 805000000000.0,\n    "total_full_flops": 3000000000000.0,\n'
+        '    "expected_cost_flops": 2195000000000.0,\n    "peak_occupied_bytes": 160000000,\n'
+        '    "evictions": 13\n  }\n}\n'
+    )
     lines = [json.loads(ln) for ln in recs.read_text().splitlines()]
     assert lines == [r.to_dict() for r in expect.per_request]
     manifest = json.loads((tmp_path / "rep.json.manifest.json").read_text())
