@@ -203,16 +203,16 @@ class _Partition:
     that row.
     """
 
-    COLUMNS = ("emb", "ids", "last_used", "sizes", "res")
+    COLUMNS = ("emb", "ids", "last_used", "res")
 
     def __init__(self, dim: int):
         self.n = 0
         self.lru = self.lru_used = None
         self.emb = np.zeros((64, dim))
-        self.ids, self.last_used, self.sizes = np.zeros((3, 64), dtype=np.int64)
+        self.ids, self.last_used = np.zeros((2, 64), dtype=np.int64)
         self.res = np.zeros(64, dtype=np.int8)  # index into RESOLUTIONS
 
-    def append(self, emb, entry_id: int, last_used: int, size: int, res: int) -> None:
+    def append(self, emb, entry_id: int, last_used: int, res: int) -> None:
         row = self.n
         if row == len(self.ids):
             for name in self.COLUMNS:
@@ -221,7 +221,6 @@ class _Partition:
         self.emb[row] = emb
         self.ids[row] = entry_id
         self.last_used[row] = last_used
-        self.sizes[row] = size
         self.res[row] = res
         self.n = row + 1
 
@@ -232,7 +231,6 @@ class _Partition:
             self.emb[row] = self.emb[last]
             self.ids[row] = self.ids[last]
             self.last_used[row] = self.last_used[last]
-            self.sizes[row] = self.sizes[last]
             self.res[row] = self.res[last]
 
 
@@ -251,7 +249,9 @@ class CacheState:
     unique among resident entries: among equal similarities the most
     recently used entry wins, and eviction removes the least recently
     used entry across all partitions, with no further tie-break needed.
-    ``latent_bytes`` must cover every entry of ``RESOLUTIONS``.
+    ``latent_bytes`` must cover every entry of ``RESOLUTIONS``; an
+    entry's size is ``len(stored_depths) * int(latent_bytes[resolution])``
+    bytes, and a size below one byte is a ``ValueError`` here.
 
     ``lookup`` and ``insert`` pass their embedding through ``normalize``
     and check its width, unless it is a row of this width that
@@ -280,9 +280,12 @@ class CacheState:
         self.match_same_resolution = bool(match_same_resolution)
         self.stored_depths = tuple(sorted(int(d) for d in stored_depths))
         self.latent_bytes = dict(latent_bytes)
-        self._entry_size = {
-            res: len(self.stored_depths) * int(b) for res, b in self.latent_bytes.items()
-        }
+        # Indexed by resolution code, as a partition's ``res`` column is.
+        self._entry_size = tuple(
+            len(self.stored_depths) * int(self.latent_bytes[res]) for res in RESOLUTIONS
+        )
+        if min(self._entry_size) < 1:
+            raise ValueError("every entry size must be at least one byte")
         self.tick = 0
         self.occupied_bytes = 0
         self.evictions = 0
@@ -310,15 +313,15 @@ class CacheState:
         return vec
 
     def entry_byte_size(self, resolution: str) -> int:
-        """Default footprint: one latent per stored depth."""
+        """An entry's footprint: one latent per stored depth."""
         self._partition(resolution)
-        return self._entry_size[resolution]
+        return self._entry_size[_RES_CODE[resolution]]
 
     def resident(self) -> dict[int, CacheEntry]:
         """Snapshots of the resident entries, keyed and ordered by id."""
         rows = sorted((int(p.ids[r]), p, r) for p in self._parts for r in range(p.n))
         return {
-            i: CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[p.res[r]], int(p.sizes[r]),
+            i: CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[p.res[r]], self._entry_size[p.res[r]],
                           self.stored_depths, int(p.last_used[r]))
             for i, p, r in rows
         }
@@ -360,12 +363,10 @@ class CacheState:
             return LookupResult._make((True, depth, best_sim, matched_id, tick))
         return LookupResult._make((False, 0, best_sim, matched_id, tick))
 
-    def insert(
-        self, embedding, resolution: str, byte_size: int | None = None
-    ) -> tuple[int, list[int]]:
-        """Add an entry, evicting LRU victims until it fits.
+    def insert(self, embedding, resolution: str) -> tuple[int, list[int]]:
+        """Add an entry of ``entry_byte_size(resolution)`` bytes, evicting
+        LRU victims until it fits.
 
-        ``byte_size`` defaults to ``entry_byte_size(resolution)``.
         Returns the new entry's id and the ids evicted by this insert,
         in eviction order; the embedding is copied into the cache.
         Raises :class:`EntryTooLarge` before consuming a tick or evicting
@@ -376,11 +377,8 @@ class CacheState:
         else:
             vec = self._check_vec(embedding)
         part = self._partition(resolution)
-        if byte_size is None:
-            byte_size = self._entry_size[resolution]
-        byte_size = int(byte_size)
-        if byte_size <= 0:
-            raise ValueError("byte_size must be positive")
+        code = _RES_CODE[resolution]
+        byte_size = self._entry_size[code]
         if byte_size > self.capacity_bytes:
             raise EntryTooLarge(
                 f"entry of {byte_size} bytes exceeds capacity {self.capacity_bytes} bytes"
@@ -394,7 +392,7 @@ class CacheState:
 
         entry_id = self._next_id
         self._next_id += 1
-        part.append(vec, entry_id, tick, byte_size, _RES_CODE[resolution])
+        part.append(vec, entry_id, tick, code)
         self.occupied_bytes += byte_size
         return entry_id, evicted
 
@@ -413,7 +411,7 @@ class CacheState:
                     victim = part
         row = victim.lru
         victim_id = victim.ids.item(row)
-        self.occupied_bytes -= victim.sizes.item(row)
+        self.occupied_bytes -= self._entry_size[victim.res.item(row)]
         victim.swap_remove(row)
         self.evictions += 1
         return victim_id

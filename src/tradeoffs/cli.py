@@ -43,8 +43,8 @@ from .models import (
     memory_deficit,
 )
 from .sim import (
+    CURVE_COLUMNS,
     SimConfig,
-    curve_to_csv,
     read_curve_csv,
     replay,
     sweep,
@@ -312,11 +312,7 @@ def _cmd_frontier(args) -> int:
         {
             "bandwidth_bpp": result.bandwidth_bpp,
             "sample_index": result.sample_index,
-            "sample": {
-                "bandwidth_bpp": result.sample.bandwidth_bpp,
-                "compute_flops": result.sample.compute_flops,
-                "quality": result.sample.quality,
-            },
+            "sample": asdict(result.sample),
         }
     )
     return 0
@@ -418,17 +414,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         write_curve_csv(curve, args.out)
         _write_manifest(args.out, "sweep", params, {args.trace: _input_digest(args.trace, trace)})
-    _emit(
-        [
-            {
-                "capacity_gb": p.capacity_gb,
-                "hit_rate": p.hit_rate,
-                "saved_flops": p.saved_flops,
-                "expected_cost_flops": p.expected_cost_flops,
-            }
-            for p in curve
-        ]
-    )
+    _emit([{name: getattr(p, name) for name in CURVE_COLUMNS} for p in curve])
     return 0
 
 
@@ -437,12 +423,7 @@ def _cmd_fit(args) -> int:
     family = ExponentialSaturation if args.family == "exp" else PowerLaw
     points = [(p.capacity_gb, p.hit_rate) for p in curve]
     result = fit_hit_rate(points, family, entry_size_gb=args.entry_size)
-    model = result.model
-    if isinstance(model, ExponentialSaturation):
-        params = {"beta": model.beta, "entry_size_gb": model.entry_size_gb}
-    else:
-        params = {"kappa": model.kappa, "gamma": model.gamma}
-    _emit({"family": args.family, "params": params, "residual": result.residual})
+    _emit({"family": args.family, "params": asdict(result.model), "residual": result.residual})
     return 0
 
 

@@ -100,8 +100,8 @@ class SimConfig:
             if not 0 < c < math.inf:
                 raise ValueError(f"step cost for {res} must be positive and finite")
         for res, b in self.latent_bytes_by_resolution.items():
-            if not 0 < b < math.inf:
-                raise ValueError(f"latent size for {res} must be positive and finite")
+            if not 1 <= b < math.inf:  # whole bytes: the cache truncates it
+                raise ValueError(f"latent size for {res} must be positive and finite, >= 1 byte")
         object.__setattr__(self, "stored_depths", depths)
         object.__setattr__(self, "step_cost_by_resolution", dict(self.step_cost_by_resolution))
         object.__setattr__(
@@ -217,7 +217,8 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     FLOPs (and optionally insert, per ``insert_on_hit``); on a miss,
     insert. Entries that alone exceed the cache budget yield the
     "too_large" outcome: a miss with no insert. Set ``keep_records``
-    False to skip the per-request log in long sweeps.
+    False to skip the per-request log in long sweeps. A trace whose
+    full cost overflows float range is a ``ValueError``.
     """
     cache = CacheState(
         capacity_bytes=config.capacity_bytes,
@@ -279,6 +280,9 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
                 )
             )
 
+    # The full cost bounds every other total and each record's saved FLOPs.
+    if not math.isfinite(total_full):
+        raise ValueError("the trace's FLOP totals overflow float range")
     n = len(trace)
     summary = ReplaySummary(
         requests=n,
@@ -342,7 +346,7 @@ def sweep(
     trace: Trace,
     config: SimConfig,
     capacities: Sequence[int],
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[CurvePoint]:
     """Replay the trace once per capacity with a fresh cache each time.
 
@@ -350,11 +354,8 @@ def sweep(
     completion order. ``jobs`` > 1 shares the points among up to that
     many processes, this one and forked workers, where fork is available
     and the caller is neither daemonic nor running other threads; results
-    are identical either way. ``None`` means 1; below 1 is a
-    ``ValueError``.
+    are identical either way. ``jobs`` below 1 is a ``ValueError``.
     """
-    if jobs is None:
-        jobs = 1
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if not capacities:
@@ -380,16 +381,16 @@ def fit_curve(
 # Curve CSV
 # ---------------------------------------------------------------------------
 
-CURVE_CSV_HEADER = "capacity_gb,hit_rate,saved_flops,expected_cost_flops"
+# The attributes of a CurvePoint that the CSV and ``tradeoffs sweep`` write.
+CURVE_COLUMNS = ("capacity_gb", "hit_rate", "saved_flops", "expected_cost_flops")
+CURVE_CSV_HEADER = ",".join(CURVE_COLUMNS)
 
 
 def curve_to_csv(curve: Sequence[CurvePoint]) -> str:
     """Render sweep rows as CSV with shortest-round-trip floats."""
     lines = [CURVE_CSV_HEADER]
     for p in curve:
-        lines.append(
-            f"{p.capacity_gb!r},{p.hit_rate!r},{p.saved_flops!r},{p.expected_cost_flops!r}"
-        )
+        lines.append(",".join(repr(getattr(p, name)) for name in CURVE_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -318,10 +318,8 @@ class _Records:
                     raise ParseError("header after records", line_number=lineno)
                 if not isinstance(obj["dim"], int) or obj["dim"] < 1:
                     raise ParseError("dim must be a positive integer", line_number=lineno)
-                if dim is not None and obj["dim"] != dim:
-                    raise DimensionMismatch(
-                        f"header dim {obj['dim']} != expected {dim}"
-                    )
+                if dim is not None and obj["dim"] != dim:  # a second header
+                    raise DimensionMismatch(f"header dim {obj['dim']} != first header's {dim}")
                 dim = self.dim = obj["dim"]
                 continue
             missing = {"ts", "id", "res", "emb"} - obj.keys()
@@ -413,7 +411,7 @@ def _share_columns(path, dim: int, share: tuple[int, int]) -> tuple | None:
         return None
 
 
-def _parse_file(path, dimension: int | None) -> Trace:
+def _parse_file(path) -> Trace:
     """``load_trace`` of a regular file, parsed in shares.
 
     The header or first record is read here and fixes the dimension. The
@@ -423,7 +421,7 @@ def _parse_file(path, dimension: int | None) -> Trace:
     first error in file order is raised as one pass over the file raises
     it.
     """
-    head = _Records(dimension)
+    head = _Records(None)
     with open(path, "rb") as f:
         first = b""
         while not head.ts:
@@ -504,10 +502,9 @@ def _write_sidecar(trace: Trace, path, digest: str) -> None:
 _UNREADABLE = (OSError, EOFError, RuntimeError, KeyError, ValueError, zipfile.BadZipFile)
 
 
-def _read_sidecar(path, digest: str, dimension: int | None) -> Trace | None:
+def _read_sidecar(path, digest: str) -> Trace | None:
     """The trace in the sidecar of ``path`` if it was saved for bytes
-    that hash to ``digest`` and, when ``dimension`` is given, has that
-    dimension; otherwise None."""
+    that hash to ``digest``; otherwise None."""
     try:
         with zipfile.ZipFile(os.fspath(path) + _SIDECAR_SUFFIX) as zf:
 
@@ -518,8 +515,6 @@ def _read_sidecar(path, digest: str, dimension: int | None) -> Trace | None:
             if column("version").item() != _SIDECAR_VERSION or column("sha256").item() != digest:
                 return None
             dim = column("dimension").item()
-            if dimension is not None and dimension != dim:
-                return None
             names = ("timestamps", "ids", "id_offsets", "resolutions", "embeddings")
             ts, ids, offsets, codes, emb = map(column, names)
     except _UNREADABLE:
@@ -534,7 +529,7 @@ def _read_sidecar(path, digest: str, dimension: int | None) -> Trace | None:
     )
 
 
-def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> Trace:
+def load_trace(source: str | os.PathLike | IO) -> Trace:
     """Parse a JSON-lines trace from a path, text stream, or byte stream.
 
     The input is read one line at a time; a large regular file is read
@@ -544,23 +539,23 @@ def load_trace(source: str | os.PathLike | IO, dimension: int | None = None) -> 
     ``source_sha256``); if the sidecar was saved for exactly those bytes,
     the trace is built from it instead, through the same checks, and
     equals the parse. A file without a sidecar is parsed, not hashed.
-    ``dimension``, if given, overrides inference and every record must
-    conform. Raises :class:`ParseError` with the 1-based line number for
+    Raises :class:`ParseError` with the 1-based line number for
     malformed lines (NaN, infinite and out-of-range embedding values
     included; text that is not UTF-8 has a line number only in a byte
-    stream), :class:`DimensionMismatch` for wrong-length embeddings, and
+    stream), :class:`DimensionMismatch` for an embedding, or a second
+    header, whose width differs from the header's or first record's, and
     :class:`ZeroNormEmbedding` for zero vectors.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
         if not os.path.exists(os.fspath(source) + _SIDECAR_SUFFIX):
-            return _parse_file(source, dimension)
+            return _parse_file(source)
         digest = _file_sha256(source)
-        trace = _read_sidecar(source, digest, dimension)
+        trace = _read_sidecar(source, digest)
         if trace is None:
-            trace = _parse_file(source, dimension)
+            trace = _parse_file(source)
         trace.source_sha256 = digest
         return trace
-    records = _Records(dimension)
+    records = _Records(None)
     with _open_text(source) as stream:
         records.read(_numbered_lines(stream))
     return _trace_of([records.columns()], records.dim)

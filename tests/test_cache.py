@@ -299,6 +299,30 @@ def test_partial_latent_bytes_map_is_rejected():
         CacheState(capacity_bytes=10**10, dim=2, latent_bytes={"720p": 1})
 
 
+@pytest.mark.parametrize("latent_bytes, stored_depths", [
+    ({"720p": 0.5, "1080p": 0.5, "2k": 0.5}, (5,)),
+    ({"720p": 16_000_000, "1080p": 40_000_000, "2k": 0.9}, (5, 10, 15, 20, 25)),
+    ({"720p": 1, "1080p": 1, "2k": 0}, (5,)),
+    ({"720p": 1, "1080p": 1, "2k": -1}, (5,)),
+    (DEFAULT_LATENT_BYTES, ()),
+])
+def test_entry_sizes_under_one_byte_are_rejected_when_built(latent_bytes, stored_depths):
+    with pytest.raises(ValueError, match="every entry size must be at least one byte"):
+        CacheState(capacity_bytes=10**10, dim=2, stored_depths=stored_depths,
+                   latent_bytes=latent_bytes)
+
+
+def test_entry_sizes_are_whole_bytes_per_resolution():
+    c = CacheState(capacity_bytes=10, dim=2, stored_depths=(5, 10),
+                   latent_bytes={"720p": 1.5, "1080p": 2, "2k": 3.99})
+    assert [c.entry_byte_size(res) for res in RESOLUTIONS] == [2, 4, 6]
+    ids = [c.insert(unit(i, 2), res)[0] for i, res in enumerate(("720p", "2k"))]
+    assert [e.byte_size for e in c.resident().values()] == [2, 6]
+    assert c.occupied_bytes == 8
+    _, evicted = c.insert(unit(0, 2), "1080p")  # 8 + 4 > 10: the 2-byte entry goes
+    assert evicted == ids[:1] and c.occupied_bytes == 10
+
+
 def test_lru_hand_trace():
     c = CacheState(capacity_bytes=2 * E720, dim=8)
     a, ev = c.insert(unit(0), "720p")
@@ -342,12 +366,13 @@ def test_multi_eviction_for_large_entry():
 def test_remembered_lru_rows_follow_hits_and_swap_removes():
     # Partitions remember their LRU row between evictions. A hit on that
     # row and a swap_remove that moves rows must both make it rescan.
-    c = CacheState(capacity_bytes=5, dim=8)
+    one_byte = dict.fromkeys(RESOLUTIONS, 1)
+    c = CacheState(capacity_bytes=5, dim=8, stored_depths=(5,), latent_bytes=one_byte)
     ref = RefCache(5)
     ids = {}
 
     def insert(name, i, res):
-        got, evicted = c.insert(unit(i), res, byte_size=1)
+        got, evicted = c.insert(unit(i), res)
         assert evicted == ref.insert(unit(i).tolist(), res, 1)
         ids[name] = got
         return [k for k, v in ids.items() if v in evicted]
@@ -418,17 +443,25 @@ POOL = [unit(i, 4) for i in range(3)] + [
                           [0.5, -0.5, 0.5, -0.5])
 ]
 BANDS = ((0.95, 25), (0.4, 10))
-DEFAULT_SIZE = {res: 5 * DEFAULT_LATENT_BYTES[res] for res in RESOLUTIONS}
+# Per-step latent sizes, each stored at the 5 default depths: entries of
+# 5 B, 80, 240 and 400 MB for two resolutions, and always one of 800 MB,
+# above every capacity, so that some inserts are too large and large
+# entries evict several small ones.
+LATENTS = st.lists(st.sampled_from([1, 16_000_000, 48_000_000, 80_000_000]),
+                   min_size=2, max_size=2, unique=True).flatmap(
+    lambda two: st.permutations([*two, 160_000_000]))
 
 
 class CacheVersusReference(RuleBasedStateMachine):
     """Drives CacheState and RefCache with the same operations."""
 
     @initialize(capacity=st.sampled_from([0, E720, 300_000_000, 700_000_000]),
-                same_res=st.booleans())
-    def start(self, capacity, same_res):
+                latents=LATENTS, same_res=st.booleans())
+    def start(self, capacity, latents, same_res):
+        latent_bytes = dict(zip(RESOLUTIONS, latents))
+        self.size = {res: 5 * b for res, b in latent_bytes.items()}
         self.cache = CacheState(capacity, dim=4, policy=ReuseDepthPolicy(BANDS),
-                                match_same_resolution=same_res)
+                                match_same_resolution=same_res, latent_bytes=latent_bytes)
         self.ref = RefCache(capacity, BANDS, same_res)
 
     @rule(k=st.integers(0, len(POOL) - 1), res=st.sampled_from(RESOLUTIONS))
@@ -438,16 +471,14 @@ class CacheVersusReference(RuleBasedStateMachine):
         assert got.hit == (want["outcome"] == "hit")
         assert (got.depth, got.matched_id) == (want["depth"], want["matched"])
 
-    @rule(k=st.integers(0, len(POOL) - 1), res=st.sampled_from(RESOLUTIONS),
-          size=st.sampled_from([None, 1, E720, 400_000_000, 800_000_000]))
-    def insert(self, k, res, size):
-        want = self.ref.insert(POOL[k].tolist(), res,
-                               DEFAULT_SIZE[res] if size is None else size)
+    @rule(k=st.integers(0, len(POOL) - 1), res=st.sampled_from(RESOLUTIONS))
+    def insert(self, k, res):
+        want = self.ref.insert(POOL[k].tolist(), res, self.size[res])
         if want is None:
             with pytest.raises(EntryTooLarge):
-                self.cache.insert(POOL[k], res, size)
+                self.cache.insert(POOL[k], res)
             return
-        entry_id, evicted = self.cache.insert(POOL[k], res, size)
+        entry_id, evicted = self.cache.insert(POOL[k], res)
         assert evicted == want
         assert entry_id == self.ref.next_id - 1
 

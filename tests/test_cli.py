@@ -378,6 +378,72 @@ def test_non_finite_step_cost_and_jobs_below_one_are_usage_errors(
     assert not out.exists()
 
 
+# The stdout of each command on a tiny input, byte for byte as written
+# before the curve's columns and the fit and frontier fields were taken
+# from one declaration each.
+_PINNED_STDOUT = {
+    "sweep": (
+        '[\n  {\n    "capacity_gb": 0.08,\n    "hit_rate": 0.1,\n'
+        '    "saved_flops": 200000000000.0,\n    "expected_cost_flops": 3800000000000.0\n  },\n'
+        '  {\n    "capacity_gb": 0.32,\n    "hit_rate": 0.275,\n'
+        '    "saved_flops": 550000000000.0,\n    "expected_cost_flops": 3450000000000.0\n  },\n'
+        '  {\n    "capacity_gb": 1.0,\n    "hit_rate": 0.6125,\n'
+        '    "saved_flops": 1225000000000.0,\n    "expected_cost_flops": 2775000000000.0\n  }\n]\n'
+    ),
+    "exp": (
+        '{\n  "family": "exp",\n  "params": {\n    "beta": 0.13921988188056578,\n'
+        '    "entry_size_gb": 0.08\n  },\n  "residual": 0.12176999813327886\n}\n'
+    ),
+    "power": (
+        '{\n  "family": "power",\n  "params": {\n    "kappa": 13.73439040374459,\n'
+        '    "gamma": 0.4266277293142701\n  },\n  "residual": 0.02451458349528979\n}\n'
+    ),
+    "frontier": (
+        '{\n  "bandwidth_bpp": 0.075,\n  "sample_index": 1,\n  "sample": {\n'
+        '    "bandwidth_bpp": 0.075,\n    "compute_flops": 14000000000.0,\n'
+        '    "quality": 0.9\n  }\n}\n'
+    ),
+}
+
+
+def test_sweep_fit_and_frontier_print_pinned_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_trace(generate_trace(GeneratorConfig(
+        num_requests=80, num_clusters=4, dimension=8, noise_sigma=0.01, seed=3,
+        resolution_mix={"720p": 0.5, "1080p": 0.3, "2k": 0.2})), "t.jsonl")
+    (tmp_path / "curve.csv").write_text(
+        "capacity_gb,hit_rate,saved_flops,expected_cost_flops\n0.08,0.25,1e12,3e12\n"
+        "0.16,0.4,1.6e12,2.4e12\n0.32,0.55,2.2e12,1.8e12\n0.64,0.6,2.4e12,1.6e12\n")
+    (tmp_path / "s.csv").write_text(
+        "bandwidth_bpp,compute_flops,quality\n0.15,1e9,0.9\n0.075,1.4e10,0.9\n0.0375,1e11,0.9\n")
+    runs = {
+        "sweep": ["sweep", "--trace", "t.jsonl", "--capacities", "80MB,320MB,1GB", "--jobs", "1"],
+        "exp": ["fit", "--curve", "curve.csv", "--family", "exp"],
+        "power": ["fit", "--curve", "curve.csv", "--family", "power"],
+        "frontier": ["frontier", "--samples", "s.csv", "--quality", "0.9", "--budget", "1.4e10"],
+    }
+    for name, argv in runs.items():
+        assert run(capsys, *argv) == (0, _PINNED_STDOUT[name], ""), name
+
+
+@pytest.mark.parametrize("command, extra, outputs", [
+    ("replay", ["--capacity", "160MB", "--records", "recs"], ["out", "recs"]),
+    ("sweep", ["--capacities", "80MB,160MB", "--jobs", "1"], ["out"]),
+])
+def test_flop_totals_that_overflow_are_usage_errors_that_write_nothing(
+        tmp_path, capsys, monkeypatch, command, extra, outputs):
+    monkeypatch.chdir(tmp_path)
+    save_trace(generate_trace(GeneratorConfig(num_requests=20, num_clusters=2,
+                                              dimension=8, seed=1)), "t.jsonl")
+    # Each request's full cost, 50 * 1e306 FLOPs, is finite; their sum is not.
+    code, stdout, err = run(capsys, command, "--trace", "t.jsonl", "--out", "out",
+                            "--step-cost", "1e306", *extra)
+    assert code == 2 and stdout == "" and "overflow" in err
+    for out in outputs:
+        assert not (tmp_path / out).exists()
+        assert not (tmp_path / f"{out}.manifest.json").exists()
+
+
 def test_fit_recovers_from_csv(tmp_path, capsys):
     from tradeoffs import CurvePoint
 

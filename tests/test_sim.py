@@ -86,6 +86,8 @@ def test_config_rejects_non_finite_step_cost(cost):
     ("capacity_bytes", float("inf"), "capacity_bytes must be nonnegative and finite"),
     ("latent_bytes_by_resolution", float("nan"), "latent size for 2k must be positive and finite"),
     ("latent_bytes_by_resolution", float("inf"), "latent size for 2k must be positive and finite"),
+    *(("latent_bytes_by_resolution", size, "latent size for 2k must be positive and finite")
+      for size in (0.5, 0.999, 0, -1)),  # under one byte
 ])
 def test_config_rejects_non_finite_sizes(field, value, message):
     if field == "latent_bytes_by_resolution":
@@ -93,6 +95,29 @@ def test_config_rejects_non_finite_sizes(field, value, message):
     kwargs = {"capacity_bytes": 0, field: value}
     with pytest.raises(ValueError, match=message):
         SimConfig(**kwargs)
+
+
+def test_fractional_latent_sizes_are_truncated_to_whole_bytes():
+    config = SimConfig(capacity_bytes=10**9,
+                       latent_bytes_by_resolution=dict.fromkeys(RESOLUTIONS, 1.5))
+    report = replay(identical_trace(3), config)
+    assert report.summary.peak_occupied_bytes == 5  # one entry: 5 depths of 1 byte
+
+
+@pytest.mark.parametrize("step_cost, total_steps, fits", [
+    (1e308, 50, 0), (1e308, 1, 1), (1e306, 50, 3), (3e307, 1, 5)])
+def test_replay_whose_flop_totals_overflow_is_a_value_error(step_cost, total_steps, fits):
+    # ``fits`` requests cost a finite total; one more overflows.
+    config = SimConfig(capacity_bytes=E720, total_steps=total_steps,
+                       stored_depths=(1,), policy=ReuseDepthPolicy(((0.5, 1),)),
+                       step_cost_by_resolution=dict.fromkeys(RESOLUTIONS, step_cost))
+    with pytest.raises(ValueError, match="FLOP totals overflow"):
+        replay(identical_trace(fits + 1), config)
+    with pytest.raises(ValueError, match="FLOP totals overflow"):
+        sweep(identical_trace(20), config, [0, E720], jobs=2)
+    if fits:
+        summary = replay(identical_trace(fits), config).summary
+        assert summary.total_full_flops == fits * total_steps * step_cost < float("inf")
 
 
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1])
@@ -356,8 +381,8 @@ def test_sweep_rejects_jobs_below_one(jobs):
     trace = identical_trace(2)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         sweep(trace, SimConfig(capacity_bytes=0), [E720], jobs=jobs)
-    # None means one process.
-    assert sweep(trace, SimConfig(capacity_bytes=0), [E720], jobs=None) == sweep(
+    # The default is one process.
+    assert sweep(trace, SimConfig(capacity_bytes=0), [E720]) == sweep(
         trace, SimConfig(capacity_bytes=0), [E720], jobs=1)
 
 

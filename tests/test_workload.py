@@ -24,8 +24,8 @@ from tradeoffs import (
 )
 
 
-def _load(text, **kw):
-    return load_trace(io.StringIO(text), **kw)
+def _load(text):
+    return load_trace(io.StringIO(text))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,28 @@ def test_dimension_inferred_from_first_record():
         _load(text)
 
 
-def test_explicit_dimension_argument_wins():
-    with pytest.raises(DimensionMismatch):
-        _load('{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n', dimension=3)
+def _headed_text(*dims):
+    records = "".join(
+        '{"ts":%d,"id":"r%d","res":"720p","emb":[1,0,0]}\n' % (i, i) for i in range(12))
+    return "".join('{"dim":%d}\n' % d for d in dims) + records
+
+
+@pytest.mark.parametrize("source", ["stream", "path"])
+def test_a_second_header_of_another_dim_is_a_mismatch(tmp_path, request, source):
+    def load(text):
+        if source == "stream":
+            return _load(text)
+        request.getfixturevalue("split_io")  # the records after the head in shares
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        return load_trace(path)
+
+    with pytest.raises(DimensionMismatch, match="header dim 3 != first header's 2"):
+        load(_headed_text(2, 3))
+    with pytest.raises(DimensionMismatch, match="header dim 2 != first header's 3"):
+        load(_headed_text(3, 2))
+    # A header repeated with the same dim agrees with the records.
+    assert load(_headed_text(3, 3)) == load(_headed_text(3))
 
 
 PARSE_ERROR_CASES = [
@@ -265,11 +284,10 @@ def test_load_in_shares_equals_serial_load(tmp_path, split_io):
     path = tmp_path / "t.jsonl"
     path.write_text(text)
     assert load_trace(path) == _load(text) == trace
-    assert load_trace(path, dimension=12) == trace
     # No header: the first record fixes the dimension.
     path.write_text("\n\n" + text.split("\n", 1)[1])
     assert load_trace(path) == trace
-    assert split_io[1:] == [3, 3, 3]
+    assert split_io[1:] == [3, 3]
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
@@ -363,9 +381,9 @@ def parses(monkeypatch):
     """The paths that ``load_trace`` parses instead of reading a sidecar."""
     parsed = []
 
-    def counted(path, dimension):
+    def counted(path):
         parsed.append(str(path))
-        return real(path, dimension)
+        return real(path)
 
     real = workload._parse_file
     monkeypatch.setattr(workload, "_parse_file", counted)
@@ -393,7 +411,7 @@ def test_sidecar_hit_equals_the_parse_bit_for_bit(tmp_path, parses, name):
     save_trace(trace, path)
     hit = load_trace(path)
     assert parses == []
-    parsed = workload._parse_file(path, None)
+    parsed = workload._parse_file(path)
     assert hit == parsed
     assert hit == trace or name == "no rows, matrix of another width"
     assert (hit.dimension, hit.request_ids, hit.resolutions) == (
@@ -479,17 +497,6 @@ def test_randomly_damaged_sidecars_load_the_trace_quietly(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_trace(path) == trace
-
-
-@pytest.mark.parametrize("n", [0, 30])
-def test_dimension_mismatch_is_the_same_with_or_without_a_sidecar(tmp_path, n):
-    path = tmp_path / "t.jsonl"
-    save_trace(_mixed_trace(n, 8), path)
-    with_sidecar = _error_of(lambda: load_trace(path, dimension=4))
-    os.remove(_sidecar(path))
-    without = _error_of(lambda: load_trace(path, dimension=4))
-    assert with_sidecar[:2] == without[:2]
-    assert with_sidecar[0] is DimensionMismatch
 
 
 def test_streams_never_read_a_sidecar_and_loads_never_write_one(tmp_path):
