@@ -86,9 +86,9 @@ def normalize(vec) -> np.ndarray:
 class _Certified:
     """A row that :func:`_certify` showed :func:`normalize` returns as is.
 
-    ``lookup`` and ``insert`` take ``vec`` of their own width without
-    normalizing it again; ``replay`` passes a trace's rows this way while
-    still calling them once per request.
+    ``lookup`` and ``insert`` take ``vec`` unchecked; ``replay`` passes
+    a trace's rows this way, to a cache built for the trace's width,
+    while still calling them once per request.
     """
 
     __slots__ = ("vec",)
@@ -254,8 +254,8 @@ class CacheState:
     bytes, and a size below one byte is a ``ValueError`` here.
 
     ``lookup`` and ``insert`` pass their embedding through ``normalize``
-    and check its width, unless it is a row of this width that
-    ``_certify`` has already shown ``normalize`` returns as is.
+    and check its width, unless it is a row that ``_certify`` has
+    already shown ``normalize`` returns as is.
     """
 
     def __init__(
@@ -307,7 +307,7 @@ class CacheState:
             raise ValueError(f"unknown resolution {resolution!r}") from None
 
     def _check_vec(self, embedding) -> np.ndarray:
-        vec = embedding.vec if type(embedding) is _Certified else normalize(embedding)
+        vec = normalize(embedding)
         if vec.shape[0] != self.dim:
             raise DimensionMismatch(f"expected dimension {self.dim}, got {vec.shape[0]}")
         return vec
@@ -334,7 +334,7 @@ class CacheState:
         Always consumes one tick. A hit refreshes the matched entry's
         recency; a below-threshold best match does not.
         """
-        if type(embedding) is _Certified and len(embedding.vec) == self.dim:
+        if type(embedding) is _Certified:
             vec = embedding.vec
         else:
             vec = self._check_vec(embedding)
@@ -372,7 +372,7 @@ class CacheState:
         Raises :class:`EntryTooLarge` before consuming a tick or evicting
         anything when the entry alone exceeds the budget.
         """
-        if type(embedding) is _Certified and len(embedding.vec) == self.dim:
+        if type(embedding) is _Certified:
             vec = embedding.vec
         else:
             vec = self._check_vec(embedding)

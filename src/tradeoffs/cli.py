@@ -120,7 +120,14 @@ def _emit(doc: dict | list) -> None:
     print(json.dumps(doc, indent=2, allow_nan=False))
 
 
-def _add_model_args(p: argparse.ArgumentParser, allow_hit: bool) -> None:
+def _add_cost_args(p: argparse.ArgumentParser, marginal: bool) -> None:
+    p.add_argument("--steps", type=int, default=50, help="denoising steps per request")
+    p.add_argument("--step-cost", type=float, default=1e9, help="FLOPs per step")
+    p.add_argument("--reuse", type=int, required=True, help="steps skipped on a hit")
+    p.add_argument(
+        "--capacity", type=float, default=0.0, required=marginal, help="cache capacity, GB"
+    )
+    p.add_argument("--entry-size", type=float, default=0.08, help="entry footprint, GB")
     p.add_argument(
         "--model",
         choices=("exp", "power"),
@@ -129,7 +136,7 @@ def _add_model_args(p: argparse.ArgumentParser, allow_hit: bool) -> None:
     p.add_argument("--beta", type=float, help="exp model rate parameter")
     p.add_argument("--kappa", type=float, help="power model scale parameter")
     p.add_argument("--gamma", type=float, help="power model tail exponent")
-    if allow_hit:
+    if not marginal:
         p.add_argument(
             "--hit",
             type=float,
@@ -200,22 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=float, default=0.0, help="synchronized state volume, GB")
 
     p = sub.add_parser("expected-compute", help="expected per-request compute with a cache")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--step-cost", type=float, default=1e9, help="FLOPs per step")
-    p.add_argument("--reuse", type=int, required=True, help="steps skipped on a hit")
-    p.add_argument("--capacity", type=float, default=0.0, help="cache capacity, GB")
-    p.add_argument(
-        "--entry-size", type=float, default=0.08, help="entry footprint, GB"
-    )
-    _add_model_args(p, allow_hit=True)
+    _add_cost_args(p, marginal=False)
 
     p = sub.add_parser("marginal", help="saved FLOPs per additional GB of cache")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--step-cost", type=float, default=1e9)
-    p.add_argument("--reuse", type=int, required=True)
-    p.add_argument("--capacity", type=float, required=True, help="cache capacity, GB")
-    p.add_argument("--entry-size", type=float, default=0.08)
-    _add_model_args(p, allow_hit=False)
+    _add_cost_args(p, marginal=True)
 
     p = sub.add_parser("frontier", help="minimal bandwidth meeting quality within budget")
     p.add_argument("--samples", required=True, help=f"CSV with header {SAMPLES_CSV_HEADER}")

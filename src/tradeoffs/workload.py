@@ -62,11 +62,11 @@ class Trace:
     timestamp (input order breaks ties; rows already in order are not
     moved) and unit-normalizes every embedding; vectors already
     unit-norm within 1e-9 are passed through bit-for-bit, which makes
-    save/load a round trip. A trace of no rows holds a (0, dimension)
-    matrix, whatever the width of the empty input.
-    Raises :class:`ZeroNormEmbedding` for a zero embedding,
-    :class:`NonFiniteEmbedding` for one whose norm is NaN or infinite,
-    and ``ValueError`` for a ``dimension`` below 1.
+    save/load a round trip. The width of the 2-d ``embeddings`` is the
+    trace's ``dimension``, so a trace of no rows takes a (0, d) matrix.
+    Raises :class:`DimensionMismatch` for embeddings not 2-d, ``ValueError``
+    for a matrix with no columns, :class:`ZeroNormEmbedding` for a zero
+    embedding, and :class:`NonFiniteEmbedding` for a NaN or infinite norm.
 
     ``source_sha256`` is the SHA-256 (hex) of the file :func:`load_trace`
     read the trace from when it checked a sidecar against it, and None
@@ -81,51 +81,39 @@ class Trace:
         request_ids: Sequence[str],
         resolutions: Sequence[str],
         embeddings,
-        dimension: int | None = None,
     ):
-        if dimension is not None and dimension < 1:
-            raise ValueError("dimension must be at least 1")
         ts = np.array(timestamps, dtype=np.int64)  # a copy: it is frozen below
         emb = np.array(embeddings, dtype=np.float64)
-        if emb.ndim == 1 and emb.size == 0:
-            emb = emb.reshape(0, 0)  # no rows; given the trace's width below
         if emb.ndim != 2:
             raise DimensionMismatch(f"embeddings must be 2-d, got shape {emb.shape}")
+        if emb.shape[1] < 1:
+            raise ValueError("dimension must be at least 1")
         n = ts.shape[0]
         if not (len(request_ids) == len(resolutions) == emb.shape[0] == n):
             raise ValueError("column lengths disagree")
-        if dimension is not None and n > 0 and emb.shape[1] != dimension:
-            raise DimensionMismatch(
-                f"expected dimension {dimension}, got {emb.shape[1]}"
-            )
-        self.dimension = int(dimension if dimension is not None else (emb.shape[1] if n else DEFAULT_DIM))
-        if not n:
-            # No row fixes the width: the matrix takes the trace's
-            # dimension, as a parse of the trace's file gives it.
-            emb = emb.reshape(0, self.dimension)
+        self.dimension = emb.shape[1]
         for r in resolutions:
             if r not in RESOLUTIONS:
                 raise ValueError(f"unknown resolution {r!r}")
 
-        if n:
-            norms = np.linalg.norm(emb, axis=1)
-            if not np.isfinite(norms).all():
-                bad = int(np.argmin(np.isfinite(norms)))
-                raise NonFiniteEmbedding(f"request {request_ids[bad]!r} has a non-finite norm")
-            if np.any(norms == 0.0):
-                bad = int(np.argmax(norms == 0.0))
-                raise ZeroNormEmbedding(f"request {request_ids[bad]!r} has a zero embedding")
-            off = np.abs(norms - 1.0) > _UNIT_TOL
-            if np.any(off):
-                emb[off] /= norms[off, None]
-            # The stable sort is the identity on timestamps already in
-            # order, as every generated and saved trace's are.
-            if (ts[1:] < ts[:-1]).any():
-                order = np.argsort(ts, kind="stable")
-                ts = ts[order]
-                emb = emb[order]
-                request_ids = [request_ids[i] for i in order]
-                resolutions = [resolutions[i] for i in order]
+        norms = np.linalg.norm(emb, axis=1)
+        if not np.isfinite(norms).all():
+            bad = int(np.argmin(np.isfinite(norms)))
+            raise NonFiniteEmbedding(f"request {request_ids[bad]!r} has a non-finite norm")
+        if np.any(norms == 0.0):
+            bad = int(np.argmax(norms == 0.0))
+            raise ZeroNormEmbedding(f"request {request_ids[bad]!r} has a zero embedding")
+        off = np.abs(norms - 1.0) > _UNIT_TOL
+        if np.any(off):
+            emb[off] /= norms[off, None]
+        # The stable sort is the identity on timestamps already in
+        # order, as every generated and saved trace's are.
+        if (ts[1:] < ts[:-1]).any():
+            order = np.argsort(ts, kind="stable")
+            ts = ts[order]
+            emb = emb[order]
+            request_ids = [request_ids[i] for i in order]
+            resolutions = [resolutions[i] for i in order]
 
         self.timestamps = ts
         self.request_ids = tuple(request_ids)
@@ -141,8 +129,7 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         return (
-            self.dimension == other.dimension
-            and np.array_equal(self.timestamps, other.timestamps)
+            np.array_equal(self.timestamps, other.timestamps)
             and self.request_ids == other.request_ids
             and self.resolutions == other.resolutions
             and np.array_equal(self.embeddings, other.embeddings)
@@ -308,6 +295,8 @@ class _Records:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"invalid JSON: {e.msg}", line_number=lineno) from None
+            except RecursionError:
+                raise ParseError("invalid JSON: nested too deeply", line_number=lineno) from None
             except UnicodeDecodeError:  # a byte stream's line
                 raise ParseError(_NOT_UTF8, line_number=lineno) from None
             if not isinstance(obj, dict):
@@ -316,7 +305,7 @@ class _Records:
                 # Header line; legal only before any record.
                 if ts or not self.headers:
                     raise ParseError("header after records", line_number=lineno)
-                if not isinstance(obj["dim"], int) or obj["dim"] < 1:
+                if type(obj["dim"]) is not int or obj["dim"] < 1:  # bool is its own type
                     raise ParseError("dim must be a positive integer", line_number=lineno)
                 if dim is not None and obj["dim"] != dim:  # a second header
                     raise DimensionMismatch(f"header dim {obj['dim']} != first header's {dim}")
@@ -327,16 +316,16 @@ class _Records:
                 raise ParseError(
                     f"missing keys: {', '.join(sorted(missing))}", line_number=lineno
                 )
-            if not isinstance(obj["ts"], int) or isinstance(obj["ts"], bool):
-                raise ParseError("ts must be an integer", line_number=lineno)
+            if type(obj["ts"]) is not int or not -(2**63) <= obj["ts"] < 2**63:
+                raise ParseError("ts must be an integer in int64 range", line_number=lineno)
             if not isinstance(obj["id"], str):
                 raise ParseError("id must be a string", line_number=lineno)
             if obj["res"] not in RESOLUTIONS:
                 raise ParseError(f"unknown resolution {obj['res']!r}", line_number=lineno)
             emb = obj["emb"]
             # json.loads makes only these number types; bool is its own type.
-            if not isinstance(emb, list) or not set(map(type, emb)) <= _JSON_NUMBERS:
-                raise ParseError("emb must be an array of numbers", line_number=lineno)
+            if not isinstance(emb, list) or not emb or not set(map(type, emb)) <= _JSON_NUMBERS:
+                raise ParseError("emb must be a non-empty array of numbers", line_number=lineno)
             if dim is None:
                 dim = self.dim = len(emb)
             if len(emb) != dim:
@@ -358,7 +347,7 @@ class _Records:
         return self.ts, self.ids, self.res, emb, self.linenos, self.lines
 
 
-def _trace_of(parts: list[tuple], dim: int | None) -> Trace:
+def _trace_of(parts: list[tuple]) -> Trace:
     """The trace of ``(ts, ids, res, embedding matrix, line numbers)``
     parts in file order; a non-finite value is a :class:`ParseError` on
     the line of the first record that holds one."""
@@ -368,7 +357,7 @@ def _trace_of(parts: list[tuple], dim: int | None) -> Trace:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise ParseError("emb values must be finite", line_number=linenos[bad])
-    return Trace(ts, ids, res, embs, dimension=dim or DEFAULT_DIM)
+    return Trace(ts, ids, res, embs)
 
 
 class _ByteRange(io.RawIOBase):
@@ -450,7 +439,7 @@ def _parse_file(path) -> Trace:
         ts, ids, res, emb, linenos, lines = part
         out.append((ts, ids, res, emb, [offset + n for n in linenos]))
         offset += lines
-    return _trace_of(out, head.dim)
+    return _trace_of(out)
 
 
 def _file_sha256(path) -> str:
@@ -478,7 +467,6 @@ def _write_sidecar(trace: Trace, path, digest: str) -> None:
     columns = {
         "version": np.array(_SIDECAR_VERSION),
         "sha256": np.array(digest),
-        "dimension": np.array(trace.dimension),
         "timestamps": trace.timestamps,
         "embeddings": trace.embeddings,
         "resolutions": np.array([code[res] for res in trace.resolutions], dtype=np.int8),
@@ -514,7 +502,6 @@ def _read_sidecar(path, digest: str) -> Trace | None:
 
             if column("version").item() != _SIDECAR_VERSION or column("sha256").item() != digest:
                 return None
-            dim = column("dimension").item()
             names = ("timestamps", "ids", "id_offsets", "resolutions", "embeddings")
             ts, ids, offsets, codes, emb = map(column, names)
     except _UNREADABLE:
@@ -525,7 +512,6 @@ def _read_sidecar(path, digest: str) -> Trace | None:
         [ids[a:b].decode("utf-8", "surrogatepass") for a, b in zip(offsets, offsets[1:])],
         [RESOLUTIONS[i] for i in codes.tolist()],
         emb,
-        dimension=dim,
     )
 
 
@@ -558,7 +544,7 @@ def load_trace(source: str | os.PathLike | IO) -> Trace:
     records = _Records(None)
     with _open_text(source) as stream:
         records.read(_numbered_lines(stream))
-    return _trace_of([records.columns()], records.dim)
+    return _trace_of([records.columns()])
 
 
 def _format_rows(trace: Trace, rows: tuple[int, int]) -> list[str]:
@@ -663,5 +649,4 @@ def generate_trace(config: GeneratorConfig) -> Trace:
         [f"r{i}" for i in range(n)],
         resolutions,
         emb,
-        dimension=d,
     )

@@ -130,17 +130,6 @@ def test_certify_leaves_unfit_rows_and_matrices_plain():
         assert normalize(vec) is vec
 
 
-def test_certified_row_of_another_width_is_a_dimension_mismatch():
-    c = CacheState(capacity_bytes=E720, dim=8)
-    (row,) = _certify(np.eye(4)[:1])
-    assert type(row) is _Certified
-    with pytest.raises(DimensionMismatch):
-        c.lookup(row, "720p")
-    with pytest.raises(DimensionMismatch):
-        c.insert(row, "720p")
-    assert (c.tick, len(c)) == (0, 0)
-
-
 # ---------------------------------------------------------------------------
 # reuse-depth policy
 # ---------------------------------------------------------------------------

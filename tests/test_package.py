@@ -1,6 +1,9 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import tradeoffs
 from tradeoffs import cache, errors, models, sim, workload
@@ -51,3 +54,18 @@ def test_import_loads_the_same_modules_and_numpy():
                          check=True, timeout=120).stdout
     assert out == ("['tradeoffs', 'tradeoffs._forkmap', 'tradeoffs.cache', 'tradeoffs.errors', "
                    "'tradeoffs.models', 'tradeoffs.sim', 'tradeoffs.workload'] True\n")
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(tmp_path, demo):
+    # capacity_sweep_fit.py replays 20,000 requests by default; 2,000 show it runs.
+    args = ["--n", "2000"] if demo == "capacity_sweep_fit.py" else []
+    src = os.path.dirname(os.path.dirname(tradeoffs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(DEMOS / demo), *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -39,17 +40,18 @@ def test_empty_stream():
 
 
 def test_a_trace_of_no_rows_takes_its_dimension(tmp_path):
-    trace = Trace([], [], [], np.zeros((0, 5)), dimension=7)
-    assert trace.embeddings.shape == (0, 7)
+    trace = Trace([], [], [], np.zeros((0, 7)))
+    assert trace.dimension == 7 and trace.embeddings.shape == (0, 7)
+    assert trace != Trace([], [], [], np.zeros((0, 5)))  # equality compares widths
     path = tmp_path / "t.jsonl"
     save_trace(trace, path)
     assert load_trace(path) == trace
     os.remove(_sidecar(path))
     assert load_trace(path) == trace
-    inferred = Trace([], [], [], np.zeros((0, 5)))
-    assert inferred.embeddings.shape == (0, inferred.dimension)
     with pytest.raises(ValueError, match="dimension must be at least 1"):
-        Trace([], [], [], [], dimension=0)
+        Trace([], [], [], np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch, match="must be 2-d"):
+        Trace([], [], [], [])
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 3, 3, 3], [0, 0, 1, 1], [1, 0, 2, 2], [3, 2, 1, 0]])
@@ -127,9 +129,16 @@ PARSE_ERROR_CASES = [
     ('{"ts":0,"id":"x","res":"4k","emb":[1]}\n', "resolution"),
     ('{"ts":0,"id":"x","res":"720p","emb":"no"}\n', "emb must be"),
     *(('{"ts":0,"id":"x","res":"720p","emb":[1,%s]}\n' % v,
-       "emb must be an array of numbers")
+       "emb must be a non-empty array of numbers")
       for v in ("true", "null", '"0.5"', "[1]", "{}")),
     ('[1,2,3]\n', "object"),
+    ('{"dim":true}\n', "line 1: dim must be a positive integer"),
+    ('{"ts":%d,"id":"x","res":"720p","emb":[1]}\n' % 2**63, "line 1: ts must be an integer in"),
+    ('{"ts":%d,"id":"x","res":"720p","emb":[1]}\n' % -(2**63 + 1), "line 1: ts must be"),
+    # Nested just past the recursion limit: json.loads raises RecursionError.
+    ('{"ts":0,"id":"x","res":"720p","emb":%s\n' % ("[" * (sys.getrecursionlimit() + 100)),
+     "line 1: invalid JSON: nested too deeply"),
+    ('{"ts":0,"id":"x","res":"720p","emb":[]}\n', "line 1: emb must be a non-empty array"),
 ]
 
 
@@ -392,9 +401,7 @@ def parses(monkeypatch):
 
 SIDECAR_TRACES = {
     "three resolutions": _mixed_trace(200, 12),
-    "no rows": Trace([], [], [], [], dimension=7),
-    # Its file holds no rows to give the matrix a width of 5.
-    "no rows, matrix of another width": Trace([], [], [], np.zeros((0, 5)), dimension=7),
+    "no rows": Trace([], [], [], np.zeros((0, 7))),
     "equal timestamps and odd ids": Trace(
         [5, 5, 3, 5, 3],
         ["é✓", "a,b", 'say "hi"', "nul\u0000end", "\ud800 lone surrogate"],
@@ -413,7 +420,7 @@ def test_sidecar_hit_equals_the_parse_bit_for_bit(tmp_path, parses, name):
     assert parses == []
     parsed = workload._parse_file(path)
     assert hit == parsed
-    assert hit == trace or name == "no rows, matrix of another width"
+    assert hit == trace
     assert (hit.dimension, hit.request_ids, hit.resolutions) == (
         parsed.dimension, parsed.request_ids, parsed.resolutions)
     for a, b in ((hit.timestamps, parsed.timestamps), (hit.embeddings, parsed.embeddings)):
@@ -599,6 +606,21 @@ def test_a_sidecar_that_fails_its_checks_raises_only_if_it_is_the_files(tmp_path
         load_trace(path)
 
 
+def test_a_sidecar_with_a_dimension_member_loads_equal_to_the_parse(tmp_path, parses):
+    # Sidecars written before a trace's width came from its matrix alone
+    # also hold the width as a member of its own, which loads ignore.
+    trace = _mixed_trace(20, 4)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    older = str(tmp_path / "older.npz")
+    with np.load(_sidecar(path)) as columns:
+        assert "dimension" not in columns.files
+        np.savez(older, dimension=np.array(4), **columns)
+    os.replace(older, _sidecar(path))
+    hit = load_trace(path)
+    assert parses == [] and hit == workload._parse_file(path) == trace
+
+
 def test_a_failure_of_the_hash_reaches_the_caller_unchanged(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
     save_trace(_mixed_trace(30, 4), path)
@@ -616,8 +638,7 @@ def test_a_failure_of_the_hash_reaches_the_caller_unchanged(tmp_path, monkeypatc
 def test_trace_equality_detects_differences():
     tr = generate_trace(GeneratorConfig(num_requests=5, num_clusters=2,
                                         dimension=4, seed=2))
-    other = Trace(tr.timestamps, tr.request_ids,
-                  ["2k"] * len(tr), tr.embeddings, dimension=4)
+    other = Trace(tr.timestamps, tr.request_ids, ["2k"] * len(tr), tr.embeddings)
     assert tr != other
 
 
