@@ -1,11 +1,12 @@
 """One pool mechanism for the package: a map over forked worker processes.
 
 ``fork_map`` serves ``sim.sweep`` (one capacity per item) and the trace
-I/O of ``workload`` (one share of rows or bytes per item). The workers
-are forked, so the function and everything it refers to -- a trace, a
-config -- reach them by inheritance; only the results are pickled. Fork
-(a few ms per worker) rather than spawn, which would import numpy afresh
-and pickle the trace into every worker.
+I/O of ``workload`` (one share of rows or bytes per item). Each process
+takes a fixed stride of the items, so the processes share no state. The
+workers are forked, so the function and everything it refers to -- a
+trace, a config -- reach them by inheritance; only the results are
+pickled. Fork (a few ms per worker) rather than spawn, which would
+import numpy afresh and pickle the trace into every worker.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ def fork_workers() -> int:
     return _usable_cpus()
 
 
-def _send_outcome(work: Callable, send) -> None:
-    """A worker's part: run ``work`` and send back its result or its error."""
+def _send_outcome(fn: Callable, items: list, send) -> None:
+    """A worker's part: send back ``fn`` of each item, or the error it raised."""
     try:
-        outcome = (True, work())
+        outcome = (True, [fn(item) for item in items])
     except Exception as e:  # raised again in the parent
         outcome = (False, e)
     send.send(outcome)
@@ -54,14 +55,14 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]``, computed by up to ``workers``
     processes: this one and forked children.
 
-    This process computes the first item while the children start on
-    the next ones; from then on every process takes the next item not
-    yet taken until none is left, so items of uneven cost balance out.
-    This process reads the children's results once its own are done.
-    Results come back in input order. An exception that ``fn`` raises in
-    any process is raised here, so errors that must be reported in input
-    order belong in ``fn``'s return value. Falls back to a plain loop
-    when fewer than two processes would run (see :func:`fork_workers`).
+    Of ``w`` processes, process ``j`` computes items ``j``, ``j + w``,
+    ``j + 2w``, ...; this process is process 0, and it reads the
+    children's results once its own are done. The items are not
+    balanced by cost. Results come back in input order. An exception
+    that ``fn`` raises in any process is raised here, so errors that
+    must be reported in input order belong in ``fn``'s return value.
+    Falls back to a plain loop when fewer than two processes would run
+    (see :func:`fork_workers`).
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -72,39 +73,25 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    taken = ctx.Value("q", 1)  # the next item to take; item 0 is this process's
-
-    def work() -> list[tuple[int, object]]:
-        done = []
-        while True:
-            with taken.get_lock():
-                i = taken.value
-                taken.value = i + 1
-            if i >= len(items):
-                return done
-            done.append((i, fn(items[i])))
-
     children = []
     finished = False
     try:
-        for _ in range(workers - 1):
+        for j in range(1, workers):
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_outcome, args=(work, send), daemon=True)
+            child = ctx.Process(target=_send_outcome, args=(fn, items[j::workers], send), daemon=True)
             children.append((child, recv))
             child.start()
             send.close()
-        results = [fn(items[0])] + [None] * (len(items) - 1)
-        for i, result in work():
-            results[i] = result
-        for child, recv in children:
+        results = [None] * len(items)
+        results[::workers] = [fn(item) for item in items[::workers]]
+        for j, (child, recv) in enumerate(children, 1):
             try:
                 ok, outcome = recv.recv()
             except EOFError:
                 raise ChildProcessError("a fork_map worker died before it sent its results") from None
             if not ok:
                 raise outcome
-            for i, result in outcome:
-                results[i] = result
+            results[j::workers] = outcome
         finished = True
         return results
     finally:

@@ -41,8 +41,9 @@ def test_fork_map_keeps_input_order_with_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 8)
     me, out = _run_in_child(lambda: (os.getpid(), forkmap.fork_map(_pid_after, range(60), 8)))
     assert [square for square, _ in out] == [i * i for i in range(60)]
-    pids = {pid for _, pid in out}
-    assert out[0][1] == me and len(pids) > 1
+    pids = [pid for _, pid in out]
+    assert pids == [pids[i % 8] for i in range(60)]  # process j takes items j, j + 8, ...
+    assert pids[0] == me and len(set(pids)) == 8
 
 
 @needs_fork

@@ -54,6 +54,25 @@ def test_a_trace_of_no_rows_takes_its_dimension(tmp_path):
         Trace([], [], [], [])
 
 
+@pytest.mark.parametrize("ts", [[2**63], [-(2**63) - 1], [1.5], ["7"], [float("nan")], [True]])
+def test_a_timestamp_not_an_int64_integer_is_rejected(ts):
+    with pytest.raises(ValueError, match="timestamps must be integers in int64 range"):
+        Trace(ts, ["a"], ["720p"], [[1.0]])
+
+
+@pytest.mark.parametrize("ts", [[2**63 - 1], [-(2**63)], np.array([7], dtype=np.uint8),
+                                np.array([7], dtype=np.uint64), np.array([-7], dtype=np.int32)])
+def test_integer_timestamps_in_int64_range_are_kept(ts):
+    trace = Trace(ts, ["a"], ["720p"], [[1.0]])
+    assert trace.timestamps.dtype == np.int64 and trace.timestamps.tolist() == list(ts)
+
+
+@pytest.mark.parametrize("rid", [5, None, b"a"])
+def test_a_request_id_not_a_string_is_rejected(rid):
+    with pytest.raises(ValueError, match="request ids must be strings"):
+        Trace([0, 1], ["a", rid], ["720p", "720p"], [[1.0], [1.0]])
+
+
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 3, 3, 3], [0, 0, 1, 1], [1, 0, 2, 2], [3, 2, 1, 0]])
 def test_rows_are_stably_sorted_into_copies(order):
     ts, emb = np.array(order, dtype=np.int64), np.eye(4)[[2, 0, 3, 1]]
@@ -306,7 +325,7 @@ def test_load_in_shares_reads_crlf_and_cr_files(tmp_path, split_io, newline):
     path.write_bytes(serialize_trace(trace).replace("\n", newline).encode("utf-8"))
     assert load_trace(path) == trace
     # Without a "\n" to cut after, a file of lone "\r" stays one piece.
-    assert split_io[1:] == [3 if newline == "\r\n" else 0]
+    assert split_io[1:] == [3 if newline == "\r\n" else 1]
 
 
 def test_small_traces_stay_in_one_share(tmp_path, monkeypatch):
@@ -365,6 +384,51 @@ def test_header_right_after_the_first_record_is_out_of_place(tmp_path, split_io)
     path = tmp_path / "t.jsonl"
     path.write_text(text)
     assert _error_of(lambda: load_trace(path))[:2] == (ParseError, "line 3: header after records")
+
+
+def _records_after_blank_lines(width, later_header="", early=0):
+    """A header of dim 2 and ``early`` records, blank lines that span the
+    first cut into three shares, then ``later_header`` and 100 records of
+    ``width`` values."""
+    def records(n, values):
+        emb = ",".join(["0.6"] * values)
+        return "".join('{"ts":%d,"id":"r%d","res":"720p","emb":[%s]}\n' % (i, i, emb)
+                       for i in range(n))
+    return '{"dim":2}\n' + records(early, 2) + "\n" * 3000 + later_header + records(100, width)
+
+
+def _outcome(load):
+    """What ``load()`` returns, or the type and message of what it raises."""
+    try:
+        return load()
+    except (ParseError, DimensionMismatch) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("later_header, early, loads", [
+    ("", 0, True), ('{"dim":2}\n', 0, True), ('{"dim":3}\n', 0, False),
+    ('{"dim":2}\n', 20, False)])  # a header after records, first in its share
+def test_lines_after_a_cut_in_blank_lines_load_as_in_one_pass(
+        tmp_path, split_io, later_header, early, loads):
+    text = _records_after_blank_lines(2, later_header, early)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert text.index("\n" + later_header + '{"ts"') > len(text) // 3  # past the first cut
+    outcome = _outcome(lambda: _load(text))
+    assert isinstance(outcome, Trace) == loads
+    assert _outcome(lambda: load_trace(path)) == outcome
+    assert split_io == [3]
+
+
+def test_a_later_share_of_another_width_than_the_header_is_a_mismatch(tmp_path, split_io):
+    # Its worker reads the share without an error: every record in it has 3 values.
+    text = _records_after_blank_lines(3)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    serial = _error_of(lambda: _load(text))
+    assert serial[:2] == (DimensionMismatch, "line 3002: embedding has 3 values, expected 2")
+    assert _error_of(lambda: load_trace(path))[:2] == serial[:2]
+    assert split_io == [3]
 
 
 def test_non_utf8_in_a_later_share_is_parse_error(tmp_path, split_io):
