@@ -83,20 +83,6 @@ def normalize(vec) -> np.ndarray:
     return arr
 
 
-class _Certified:
-    """A row that :func:`_certify` showed :func:`normalize` returns as is.
-
-    ``lookup`` and ``insert`` take ``vec`` unchecked; ``replay`` passes
-    a trace's rows this way, to a cache built for the trace's width,
-    while still calling them once per request.
-    """
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec: np.ndarray):
-        self.vec = vec
-
-
 # A row is certified when its norm, computed in bulk, is within
 # _CERTIFY_TOL of 1. Higham (Accuracy and Stability of Numerical
 # Algorithms, ch. 3) bounds a d-term dot product computed in any order,
@@ -114,18 +100,27 @@ _CERTIFY_TOL = 5e-10
 _CERTIFY_MAX_DIM = 2**20
 
 
-def _certify(matrix: np.ndarray) -> list:
-    """The rows of a 2-d float64 matrix, each wrapped in :class:`_Certified`
-    when ``normalize`` would return it unchanged and left a plain row
-    (normalized per call) otherwise, with one vectorized norm pass."""
+def _checked_rows(matrix: np.ndarray) -> list:
+    """``[normalize(row) for row in matrix]`` of a 2-d matrix, bit for bit,
+    raising what it raises for the first row it rejects. One vectorized
+    norm pass certifies rows, which come back as the matrix's own rows
+    without a call; only the others go through ``normalize``."""
     if matrix.dtype != np.float64 or matrix.shape[1] > _CERTIFY_MAX_DIM:
-        return list(matrix)  # normalize would copy such rows, or may divide them
+        return [normalize(row) for row in matrix]  # normalize copies these, or may divide them
     with np.errstate(all="ignore"):  # a huge or non-finite row is just not certified
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    rows = list(map(_Certified, matrix))
+    rows = list(matrix)
     for i in np.flatnonzero(~(np.abs(norms - 1.0) <= _CERTIFY_TOL)).tolist():
-        rows[i] = matrix[i]
+        rows[i] = normalize(rows[i])
     return rows
+
+
+def _whole_bytes(capacity_bytes) -> int:
+    """``int(capacity_bytes)``, checked first: NaN, infinite or negative
+    capacities are a ``ValueError``."""
+    if not 0 <= capacity_bytes < math.inf:
+        raise ValueError("capacity_bytes must be nonnegative and finite")
+    return int(capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -140,6 +135,8 @@ class ReuseDepthPolicy:
     bands: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
+        if not all(-math.inf < x < math.inf for band in self.bands for x in band):  # NaN fails
+            raise ValueError("band bounds and depths must be finite")
         bands = tuple((float(t), int(d)) for t, d in self.bands)
         if not bands:
             raise ValueError("at least one band is required")
@@ -251,11 +248,11 @@ class CacheState:
     used entry across all partitions, with no further tie-break needed.
     ``latent_bytes`` must cover every entry of ``RESOLUTIONS``; an
     entry's size is ``len(stored_depths) * int(latent_bytes[resolution])``
-    bytes, and a size below one byte is a ``ValueError`` here.
+    bytes, and a size below one byte is a ``ValueError`` here, as is a
+    NaN or infinite capacity or latent size.
 
     ``lookup`` and ``insert`` pass their embedding through ``normalize``
-    and check its width, unless it is a row that ``_certify`` has
-    already shown ``normalize`` returns as is.
+    and check its width (``_check_vec``).
     """
 
     def __init__(
@@ -267,14 +264,15 @@ class CacheState:
         stored_depths: Sequence[int] = DEFAULT_STORED_DEPTHS,
         latent_bytes: Mapping[str, int] = DEFAULT_LATENT_BYTES,
     ):
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be nonnegative")
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
+        self.capacity_bytes = _whole_bytes(capacity_bytes)
+        if not 1 <= dim < math.inf:
+            raise ValueError("dim must be at least 1 and finite")
         missing = [res for res in RESOLUTIONS if res not in latent_bytes]
         if missing:
             raise ValueError(f"latent_bytes lacks {', '.join(missing)}")
-        self.capacity_bytes = int(capacity_bytes)
+        for res in RESOLUTIONS:
+            if not -math.inf < latent_bytes[res] < math.inf:
+                raise ValueError(f"latent_bytes for {res} must be finite")
         self.dim = int(dim)
         self.policy = policy
         self.match_same_resolution = bool(match_same_resolution)
@@ -334,10 +332,7 @@ class CacheState:
         Always consumes one tick. A hit refreshes the matched entry's
         recency; a below-threshold best match does not.
         """
-        if type(embedding) is _Certified:
-            vec = embedding.vec
-        else:
-            vec = self._check_vec(embedding)
+        vec = self._check_vec(embedding)
         part = self._partition(resolution)
         tick = self.tick
         self.tick += 1
@@ -372,10 +367,7 @@ class CacheState:
         Raises :class:`EntryTooLarge` before consuming a tick or evicting
         anything when the entry alone exceeds the budget.
         """
-        if type(embedding) is _Certified:
-            vec = embedding.vec
-        else:
-            vec = self._check_vec(embedding)
+        vec = self._check_vec(embedding)
         part = self._partition(resolution)
         code = _RES_CODE[resolution]
         byte_size = self._entry_size[code]
@@ -415,3 +407,11 @@ class CacheState:
         victim.swap_remove(row)
         self.evictions += 1
         return victim_id
+
+
+class _ReplayCache(CacheState):
+    """``replay``'s cache, which takes each embedding as already checked:
+    a row of its width that :func:`_checked_rows` returned."""
+
+    def _check_vec(self, embedding) -> np.ndarray:
+        return embedding

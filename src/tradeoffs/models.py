@@ -479,9 +479,8 @@ def _fit_power_law(caps, rates) -> tuple[PowerLaw, float]:
                 return math.inf, gamma
             return _power_law_residual(caps, rates, kappa, gamma), gamma
 
-    grid = np.geomspace(
-        scale / _KAPPA_GRID_SPAN, scale * _KAPPA_GRID_SPAN, _KAPPA_GRID_POINTS
-    )
+    with np.errstate(all="ignore"):  # a scale out of float range leaves no candidate
+        grid = np.geomspace(scale / _KAPPA_GRID_SPAN, scale * _KAPPA_GRID_SPAN, _KAPPA_GRID_POINTS)
     best_kappa, best_gamma, best_res = None, None, math.inf
     for kappa in grid:
         res, gamma = evaluate(kappa)

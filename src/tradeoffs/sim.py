@@ -27,9 +27,10 @@ from .cache import (
     DEFAULT_POLICY,
     DEFAULT_STORED_DEPTHS,
     RESOLUTIONS,
-    CacheState,
     ReuseDepthPolicy,
-    _certify,
+    _checked_rows,
+    _ReplayCache,
+    _whole_bytes,
 )
 from .errors import EntryTooLarge
 from .models import FitResult, HitRateModel, fit_hit_rate
@@ -110,14 +111,6 @@ class SimConfig:
 
     def with_capacity(self, capacity_bytes: int) -> "SimConfig":
         return replace(self, capacity_bytes=_whole_bytes(capacity_bytes))
-
-
-def _whole_bytes(capacity_bytes) -> int:
-    """``int(capacity_bytes)``, checked first: NaN, infinite or negative
-    capacities are a ``ValueError``."""
-    if not 0 <= capacity_bytes < math.inf:
-        raise ValueError("capacity_bytes must be nonnegative and finite")
-    return int(capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -218,9 +211,13 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     insert. Entries that alone exceed the cache budget yield the
     "too_large" outcome: a miss with no insert. Set ``keep_records``
     False to skip the per-request log in long sweeps. A trace whose
-    full cost overflows float range is a ``ValueError``.
+    full cost overflows float range is a ``ValueError``; an embedding
+    that ``normalize`` rejects raises its error before the first request.
     """
-    cache = CacheState(
+    # Checked here, once per replay, not kept on the trace: its array may
+    # have been made writable and changed since the last replay.
+    rows = _checked_rows(trace.embeddings)
+    cache = _ReplayCache(
         capacity_bytes=config.capacity_bytes,
         dim=trace.dimension,
         policy=config.policy,
@@ -237,9 +234,6 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     # Bound once per replay: every call still goes through whatever
     # CacheState.lookup/insert are when the replay starts, wrappers included.
     lookup, insert = cache.lookup, cache.insert
-    # Checked here, once per replay, not kept on the trace: its array may
-    # have been made writable and changed since the last replay.
-    rows = _certify(trace.embeddings)
 
     for rid, emb, res in zip(trace.request_ids, rows, trace.resolutions):
         step_cost = config.step_cost_by_resolution[res]

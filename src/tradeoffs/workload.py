@@ -400,10 +400,13 @@ def _read_range(records: _Records, path, start: int, stop: int) -> _Records:
 
 def _read_share(path, share: tuple[int, int]) -> _Records | None:
     """A share's records, its lines numbered from 1 and its width its own,
-    or None if it holds an error (``_parse_file`` raises it)."""
+    or None if a later share holds an error (``_parse_file`` raises it).
+    The first share is parsed as one pass parses it, so it raises its own."""
     try:
         records = _read_range(_Records(headers=share[0] == 0), path, *share)
     except TradeoffError:
+        if share[0] == 0:
+            raise
         return None
     records.embs = [np.vstack(records.embs)] if records.embs else []  # one array to send back
     return records
@@ -413,12 +416,13 @@ def _parse_file(path) -> Trace:
     """``load_trace`` of a regular file, parsed in shares.
 
     The file is cut after a newline into one share per worker, and each
-    worker parses its share on its own (``_read_share``). Here the
-    shares' records are joined in file order. A share whose worker
-    raised, or whose records have another width than the width fixed so
-    far, is parsed again here after the records before it: that raises
-    its first error as one pass over the file raises it, or reads it as
-    that pass reads it (a header after a first share of blank lines).
+    worker parses its share on its own (``_read_share``); the first
+    share raises its own error. Here the shares' records are joined in
+    file order. A later share with an error, or whose records have
+    another width than the width fixed so far, is parsed again here
+    after the records before it: that raises its first error, or reads
+    it, as one pass over the file does (a header after a first share of
+    blank lines).
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+import tradeoffs.cache as cache_module
 from _reference import RefCache
-from tradeoffs.cache import _certify, _Certified
+from tradeoffs.cache import _checked_rows
 from tradeoffs import (
     DEFAULT_LATENT_BYTES,
     DEFAULT_POLICY,
@@ -81,7 +82,7 @@ def test_normalize_rejects_non_finite():
 
 
 # ---------------------------------------------------------------------------
-# rows certified in bulk
+# rows checked in bulk
 # ---------------------------------------------------------------------------
 
 
@@ -98,36 +99,67 @@ OFFSETS = np.concatenate([np.linspace(-1.2e-9, 1.2e-9, 48),
                           [-4.9e-10, -5.1e-10, -0.99e-9, -1.01e-9]])
 
 
+def checked_rows_and_calls(monkeypatch, matrix):
+    """``_checked_rows(matrix)`` and the rows it passed to ``normalize``."""
+    calls = []
+
+    def counted(vec):
+        calls.append(vec)
+        return normalize(vec)
+
+    with monkeypatch.context() as m:
+        m.setattr(cache_module, "normalize", counted)
+        rows = _checked_rows(matrix)
+    return rows, calls
+
+
 @pytest.mark.parametrize("dim", [1, 3, 64, 768])
-def test_certified_rows_are_rows_normalize_returns_as_is(dim):
+def test_checked_rows_are_normalize_of_each_row_certified_ones_without_a_call(
+        monkeypatch, dim):
     matrix = rows_with_norms(np.random.default_rng(dim), dim, 1.0 + OFFSETS)
-    rows = _certify(matrix)
+    rows, calls = checked_rows_and_calls(monkeypatch, matrix)
     assert len(rows) == len(OFFSETS)
+    uncertified = []
     for i, (row, offset) in enumerate(zip(rows, OFFSETS)):
+        assert row.dtype == np.float64 and np.array_equal(row, normalize(matrix[i]))
         if abs(offset) < 5e-10:
-            assert type(row) is _Certified
-            assert normalize(row.vec) is row.vec
-            assert row.vec.base is matrix and np.array_equal(row.vec, matrix[i])
+            assert row.base is matrix  # the matrix's own row, not a copy
         else:
-            # Normalized per call: returned as is inside the tolerance, divided outside.
-            assert type(row) is np.ndarray and row.base is matrix
-            assert (normalize(row) is row) == (abs(offset) < 1e-9)
+            uncertified.append(i)
+            # Returned as is inside the tolerance, divided outside.
+            assert (row.base is matrix) == (abs(offset) < 1e-9)
+    assert [call.tolist() for call in calls] == matrix[uncertified].tolist()
 
 
-def test_certify_leaves_unfit_rows_and_matrices_plain():
+def test_checked_rows_raise_what_normalize_raises_for_the_first_row_it_rejects(monkeypatch):
     odd = np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200], [0.6, 0.8]])
+    # The bulk pass is quiet and passes every unfit row, and only those, on.
+    calls = []
+    monkeypatch.setattr(cache_module, "normalize", lambda vec: calls.append(vec) or vec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = _certify(odd)
-    assert [type(r) is _Certified for r in rows] == [False, False, False, False, True]
-    # normalize would copy a float32 row, so none is certified.
-    assert not any(type(r) is _Certified for r in _certify(odd[4:].astype(np.float32)))
+        _checked_rows(odd)
+    assert np.array_equal(np.array(calls), odd[:4], equal_nan=True)
+    monkeypatch.undo()
+    errors = [ZeroNormEmbedding] + [NonFiniteEmbedding] * 3
+    for bad, error in enumerate(errors):
+        with np.errstate(over="ignore"):
+            with pytest.raises(error):
+                normalize(odd[bad])
+            with pytest.raises(error):
+                _checked_rows(np.array([odd[4], odd[bad], [3.0, 4.0], [0.0, 0.0]]))
+    # normalize would copy a float32 row, so each row goes through it.
+    odd = np.array([[0.6, 0.8], [3.0, 4.0]], dtype=np.float32)
+    rows, calls = checked_rows_and_calls(monkeypatch, odd)
+    assert len(calls) == 2
+    assert all(np.array_equal(row, normalize(r)) and row.dtype == np.float64
+               for row, r in zip(rows, odd))
     # The margin holds up to 2**20 columns and no further.
     for dim, certified in ((2**20, True), (2**20 + 1, False)):
-        (row,) = _certify(np.full((1, dim), 1.0 / np.sqrt(dim)))
-        assert (type(row) is _Certified) == certified
-        vec = row.vec if certified else row
-        assert normalize(vec) is vec
+        matrix = np.full((1, dim), 1.0 / np.sqrt(dim))
+        (row,), calls = checked_rows_and_calls(monkeypatch, matrix)
+        assert len(calls) == (0 if certified else 1)
+        assert row.base is matrix and normalize(row) is row
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +191,11 @@ def test_policy_validation():
         ReuseDepthPolicy(bands=((0.9, 10), (0.5, 25)))  # depths increasing
     with pytest.raises(ValueError):
         ReuseDepthPolicy(bands=((0.9, -5),))
+    # NaN would make a band that never matches; int() of an infinite depth overflows.
+    for bands in (((0.9, 5), (np.nan, 0)), ((np.inf, 5),), ((0.9, np.inf),), ((0.9, np.nan),),
+                  ((0.9, 5), (-np.inf, 0))):
+        with pytest.raises(ValueError, match="band bounds and depths must be finite"):
+            ReuseDepthPolicy(bands=bands)
 
 
 @given(s1=st.floats(-1.0, 1.0), s2=st.floats(-1.0, 1.0))
@@ -281,6 +318,26 @@ def test_entry_byte_sizes():
     e, _ = c.insert(unit(0), "720p")
     assert c.resident()[e].byte_size == 80_000_000
     assert c.occupied_bytes == 80_000_000
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    *(({"capacity_bytes": c}, "capacity_bytes must be nonnegative and finite")
+      for c in (-1, np.nan, np.inf)),
+    *(({"dim": d}, "dim must be at least 1 and finite") for d in (0, np.nan, np.inf)),
+    *(({"latent_bytes": {**DEFAULT_LATENT_BYTES, "2k": b}}, "latent_bytes for 2k must be finite")
+      for b in (np.nan, np.inf, -np.inf)),
+])
+def test_cache_geometry_is_checked_before_int(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        CacheState(**{"capacity_bytes": E720, "dim": 2, **kwargs})
+
+
+def test_unknown_resolution_is_a_value_error():
+    c = CacheState(capacity_bytes=E720, dim=2)
+    for call in (c.lookup, c.insert, lambda _, res: c.entry_byte_size(res)):
+        with pytest.raises(ValueError, match="unknown resolution '4k'"):
+            call(unit(0, 2), "4k")
+    assert c.tick == 0 and len(c) == 0
 
 
 def test_partial_latent_bytes_map_is_rejected():

@@ -231,6 +231,24 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expected-compute", "--reuse", "20", "--hit", "0.5", "--model", "exp"],
+     "--hit and --model are mutually exclusive"),
+    (["expected-compute", "--reuse", "20", "--hit", "-0.1"], "--hit must lie in [0, 1]"),
+    (["expected-compute", "--reuse", "20", "--model", "exp"], "--model exp requires --beta"),
+    (["marginal", "--reuse", "20", "--capacity", "4", "--model", "power", "--kappa", "1"],
+     "--model power requires --kappa and --gamma"),
+    (["marginal", "--reuse", "20", "--capacity", "4"], "specify --model (or --hit where accepted)"),
+    (["gen", "--n", "5", "--clusters", "1", "--res-mix", "720p", "--out", "OUT"],
+     "bad resolution mix entry '720p'"),
+])
+def test_flag_combinations_the_parser_accepts_but_the_command_rejects_are_usage_errors(
+        tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *(str(tmp_path / "t.jsonl") if a == "OUT" else a for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
 _DEFICIT = ["deficit", "--total", "400", "--devices", "2", "--per-device", "100"]
 _MARGINAL = ["marginal", "--reuse", "20", "--capacity", "4", "--model", "exp", "--beta", "0.5"]
 _POWER = ["marginal", "--reuse", "20", "--capacity", "4", "--model", "power",
@@ -286,6 +304,11 @@ def test_trinity_seed_env_overrides_flag(tmp_path, capsys, monkeypatch):
     run(capsys, "gen", "--out", str(out_flag), "--n", "20", "--clusters", "2",
         "--dim", "8", "--seed", "99")
     assert out_env.read_bytes() == out_flag.read_bytes()
+    monkeypatch.setenv("TRINITY_SEED", "abc")
+    out_bad = tmp_path / "bad.jsonl"
+    code, out, err = run(capsys, "gen", "--out", str(out_bad), "--n", "20", "--clusters", "2")
+    assert (code, out, err) == (2, "", "error: TRINITY_SEED must be an integer, got 'abc'\n")
+    assert not out_bad.exists()
 
 
 def test_replay_outputs_and_records(tmp_path, capsys):

@@ -273,6 +273,8 @@ def test_empirical_validation():
         EmpiricalHitRate(((2.0, 0.1), (1.0, 0.2)))
     with pytest.raises(ValueError):
         EmpiricalHitRate(((1.0, 1.5),))
+    with pytest.raises(ValueError, match="capacities must be nonnegative"):
+        EmpiricalHitRate(((-1.0, 0.1), (1.0, 0.2)))
 
 
 def test_model_param_validation():
@@ -453,6 +455,22 @@ def test_fit_input_validation():
         fit_hit_rate([(0.0, 0.1), (1.0, 0.5), (2.0, 0.7)], PowerLaw)
     with pytest.raises(ValueError):
         fit_hit_rate([(1.0, 0.5), (2.0, 0.6), (3.0, 0.7)], EmpiricalHitRate)
+    for rate in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"hit rates must lie in \[0, 1\]"):
+            fit_hit_rate([(1.0, 0.5), (2.0, rate), (3.0, 0.7)], PowerLaw)
+
+
+@pytest.mark.parametrize("points, family", [
+    # ln(1 - 5e-324) rounds to 0, so beta is 0.
+    ([(1.0, 5e-324), (2.0, 5e-324), (4.0, 5e-324)], ExponentialSaturation),
+    # 1 / median is beyond float range, so no kappa of the grid is finite.
+    ([(1e-310, 0.3), (2e-310, 0.5), (4e-310, 0.7)], PowerLaw),
+])
+def test_fit_that_leaves_no_positive_parameter_is_degenerate_quietly(points, family):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePoints, match="points do not show an increasing hit rate"):
+            fit_hit_rate(points, family)
 
 
 @pytest.mark.parametrize("family", [ExponentialSaturation, PowerLaw])

@@ -31,7 +31,7 @@ from tradeoffs import (
     replay,
     sweep,
 )
-from tradeoffs.cache import _certify, _Certified
+from tradeoffs.cache import _checked_rows
 
 E720 = 80_000_000
 
@@ -57,6 +57,11 @@ def orthogonal_trace(ids, dim=16):
 def test_config_rejects_policy_depth_outside_stored():
     with pytest.raises(ValueError):
         SimConfig(capacity_bytes=0, policy=ReuseDepthPolicy(bands=((0.9, 12),)))
+
+
+def test_config_requires_stored_depths():
+    with pytest.raises(ValueError, match="stored_depths must be non-empty"):
+        SimConfig(capacity_bytes=0, stored_depths=())
 
 
 def test_config_rejects_depth_beyond_total_steps():
@@ -263,9 +268,27 @@ def straddling_trace(seed):
     return trace
 
 
-def row_kinds(trace):
-    return {"certified" if type(r) is _Certified else "as is" if normalize(r) is r
-            else "divided" for r in _certify(trace.embeddings)}
+def row_kinds(monkeypatch, trace):
+    """How ``_checked_rows`` takes the trace's rows: certified in bulk, or
+    passed to ``normalize`` and returned as is, or divided by it."""
+    passed = []
+
+    def counted(vec):
+        passed.append(vec)
+        return normalize(vec)
+
+    with monkeypatch.context() as m:
+        m.setattr(cache_module, "normalize", counted)
+        _checked_rows(trace.embeddings)
+    kinds = {"as is" if normalize(r) is r else "divided" for r in passed}
+    return kinds | ({"certified"} if len(passed) < len(trace) else set())
+
+
+def replay_through_a_plain_cache(monkeypatch):
+    """Make ``replay`` pass every row unchecked to a plain ``CacheState``,
+    which normalizes it and checks its width on every call."""
+    monkeypatch.setattr(sim, "_checked_rows", list)
+    monkeypatch.setattr(sim, "_ReplayCache", CacheState)
 
 
 @pytest.mark.parametrize("insert_on_hit", [False, True])
@@ -274,8 +297,8 @@ def row_kinds(trace):
 def test_replay_matches_the_reference_and_a_replay_of_plain_rows(
         monkeypatch, insert_on_hit, cross, seed, entries):
     trace = straddling_trace(3) if seed == "straddling" else three_res_trace(seed)
-    assert row_kinds(trace) == ({"certified", "as is", "divided"} if seed == "straddling"
-                                else {"certified"})
+    kinds = {"certified", "as is", "divided"} if seed == "straddling" else {"certified"}
+    assert row_kinds(monkeypatch, trace) == kinds
     capacity = entries * E720
     config = SimConfig(capacity_bytes=capacity, latent_bytes_by_resolution=EVEN_SIZES,
                        insert_on_hit=insert_on_hit, cross_resolution_match=cross)
@@ -289,7 +312,7 @@ def test_replay_matches_the_reference_and_a_replay_of_plain_rows(
         capacity, E720, same_res=not cross, insert_on_hit=insert_on_hit)]
     assert got == want
 
-    monkeypatch.setattr(sim, "_certify", list)  # every row normalized per call
+    replay_through_a_plain_cache(monkeypatch)
     assert replay(trace, config) == report
 
 
@@ -323,10 +346,14 @@ def test_replay_checks_the_rows_again_on_every_call(monkeypatch):
     assert scaled != first
     row = trace.embeddings[9].copy()
     trace.embeddings[9] = np.nan
-    with pytest.raises(NonFiniteEmbedding):
-        replay(trace, config)
+    lookups = []
+    with monkeypatch.context() as m:
+        m.setattr(CacheState, "lookup", lambda *args: lookups.append(args))
+        with pytest.raises(NonFiniteEmbedding):
+            replay(trace, config)
+    assert lookups == []  # raised before the first request
     trace.embeddings[9] = row
-    monkeypatch.setattr(sim, "_certify", list)
+    replay_through_a_plain_cache(monkeypatch)
     assert replay(trace, config) == scaled
 
 

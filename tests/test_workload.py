@@ -73,6 +73,17 @@ def test_a_request_id_not_a_string_is_rejected(rid):
         Trace([0, 1], ["a", rid], ["720p", "720p"], [[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("ids, resolutions, message", [
+    (["a"], ["720p", "720p"], "column lengths disagree"),
+    (["a", "b", "c"], ["720p", "720p"], "column lengths disagree"),
+    (["a", "b"], ["720p", "4k"], "unknown resolution '4k'"),
+])
+def test_columns_that_disagree_or_hold_an_unknown_resolution_are_rejected(
+        ids, resolutions, message):
+    with pytest.raises(ValueError, match=message):
+        Trace([0, 1], ids, resolutions, [[1.0], [1.0]])
+
+
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 3, 3, 3], [0, 0, 1, 1], [1, 0, 2, 2], [3, 2, 1, 0]])
 def test_rows_are_stably_sorted_into_copies(order):
     ts, emb = np.array(order, dtype=np.int64), np.eye(4)[[2, 0, 3, 1]]
@@ -337,6 +348,20 @@ def test_small_traces_stay_in_one_share(tmp_path, monkeypatch):
     workload._write_text(tmp_path / "t.jsonl", serialize_trace(trace))
     assert load_trace(tmp_path / "t.jsonl") == trace
     assert shares == [1, 1]
+
+
+@pytest.mark.parametrize("ways", [1, 3])
+def test_an_error_in_the_first_share_is_parsed_once(tmp_path, monkeypatch, ways):
+    monkeypatch.setattr(workload, "_share_count", lambda values: ways)
+    reads = []
+    real_read = workload._Records.read
+    monkeypatch.setattr(workload._Records, "read",
+                        lambda self, lines: reads.append(1) or real_read(self, lines))
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"ts":0,"id":"a","res":"720p","emb":[0.6,0.8]}\nnot json\n' + "\n" * 200)
+    with pytest.raises(ParseError, match="line 2: invalid JSON"):
+        load_trace(path)
+    assert reads == [1]
 
 
 def _late_error_text(bad_line, newline="\n"):
@@ -704,6 +729,7 @@ def test_trace_equality_detects_differences():
                                         dimension=4, seed=2))
     other = Trace(tr.timestamps, tr.request_ids, ["2k"] * len(tr), tr.embeddings)
     assert tr != other
+    assert tr.__eq__(tr.embeddings) is NotImplemented and tr != tr.embeddings.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +825,10 @@ def test_generator_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(num_requests=1, num_clusters=1,
                         resolution_mix={"8k": 1.0})
+    with pytest.raises(ValueError, match="resolution_mix must be non-empty"):
+        GeneratorConfig(num_requests=1, num_clusters=1, resolution_mix={})
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        GeneratorConfig(num_requests=1, num_clusters=1, dimension=0)
 
 
 def test_generator_rejects_noise_that_overflows():
