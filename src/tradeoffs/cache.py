@@ -123,6 +123,26 @@ def _whole_bytes(capacity_bytes) -> int:
     return int(capacity_bytes)
 
 
+def _entry_sizes(stored_depths, latent_bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted depths and each entry size in whole bytes, indexed by resolution
+    code: the one check of ``SimConfig``'s and ``CacheState``'s geometry.
+    Written so that NaN fails each check."""
+    if not all(1 <= d < math.inf for d in stored_depths):
+        raise ValueError("stored depths must be at least 1 and finite")
+    depths = tuple(sorted(int(d) for d in stored_depths))
+    if not depths:
+        raise ValueError("stored_depths must be non-empty")
+    if len(set(depths)) != len(depths):
+        raise ValueError("stored depths must be distinct")
+    missing = [res for res in RESOLUTIONS if res not in latent_bytes]
+    if missing:
+        raise ValueError(f"latent_bytes lacks {', '.join(missing)}")
+    for res, b in latent_bytes.items():
+        if not 1 <= b < math.inf:
+            raise ValueError(f"latent size for {res} must be positive and finite, >= 1 byte")
+    return depths, tuple(len(depths) * int(latent_bytes[res]) for res in RESOLUTIONS)
+
+
 @dataclass(frozen=True)
 class ReuseDepthPolicy:
     """Maps cosine similarity to reuse depth via threshold bands.
@@ -246,10 +266,8 @@ class CacheState:
     unique among resident entries: among equal similarities the most
     recently used entry wins, and eviction removes the least recently
     used entry across all partitions, with no further tie-break needed.
-    ``latent_bytes`` must cover every entry of ``RESOLUTIONS``; an
-    entry's size is ``len(stored_depths) * int(latent_bytes[resolution])``
-    bytes, and a size below one byte is a ``ValueError`` here, as is a
-    NaN or infinite capacity or latent size.
+    An entry's size is ``len(stored_depths) * int(latent_bytes[resolution])``
+    bytes; ``_entry_sizes`` checks both, and ``_whole_bytes`` the capacity.
 
     ``lookup`` and ``insert`` pass their embedding through ``normalize``
     and check its width (``_check_vec``).
@@ -267,28 +285,14 @@ class CacheState:
         self.capacity_bytes = _whole_bytes(capacity_bytes)
         if not 1 <= dim < math.inf:
             raise ValueError("dim must be at least 1 and finite")
-        missing = [res for res in RESOLUTIONS if res not in latent_bytes]
-        if missing:
-            raise ValueError(f"latent_bytes lacks {', '.join(missing)}")
-        for res in RESOLUTIONS:
-            if not -math.inf < latent_bytes[res] < math.inf:
-                raise ValueError(f"latent_bytes for {res} must be finite")
         self.dim = int(dim)
         self.policy = policy
-        self.match_same_resolution = bool(match_same_resolution)
-        self.stored_depths = tuple(sorted(int(d) for d in stored_depths))
-        self.latent_bytes = dict(latent_bytes)
-        # Indexed by resolution code, as a partition's ``res`` column is.
-        self._entry_size = tuple(
-            len(self.stored_depths) * int(self.latent_bytes[res]) for res in RESOLUTIONS
-        )
-        if min(self._entry_size) < 1:
-            raise ValueError("every entry size must be at least one byte")
+        self.stored_depths, self._entry_size = _entry_sizes(stored_depths, latent_bytes)
         self.tick = 0
         self.occupied_bytes = 0
         self.evictions = 0
         self._next_id = 0
-        if self.match_same_resolution:
+        if match_same_resolution:
             self._parts = [_Partition(self.dim) for _ in RESOLUTIONS]
             self._part_of = dict(zip(RESOLUTIONS, self._parts))
         else:

@@ -106,8 +106,8 @@ class DeficitParams:
             raise ValueError("total_memory_gb must be nonnegative and finite")
         if not 0 <= self.device_memory_gb < math.inf:
             raise ValueError("device_memory_gb must be nonnegative and finite")
-        if self.device_count < 1:
-            raise ValueError("device_count must be at least 1")
+        if not 1 <= self.device_count < math.inf:
+            raise ValueError("device_count must be at least 1 and finite")
         if not -math.inf < self.allreduce_factor < math.inf:
             raise ValueError("allreduce_factor must be finite")
         if not -math.inf < self.state_volume_gb < math.inf:
@@ -239,8 +239,8 @@ class EmpiricalHitRate(HitRateModel):
         if not pts:
             raise ValueError("at least one point is required")
         caps = [m for m, _ in pts]
-        if any(m < 0 for m in caps):
-            raise ValueError("capacities must be nonnegative")
+        if not all(0 <= m < math.inf for m in caps):  # NaN fails
+            raise ValueError("capacities must be nonnegative and finite")
         if any(b <= a for a, b in zip(caps, caps[1:])):
             raise ValueError("capacities must be strictly increasing")
         if any(not 0 <= h <= 1 for _, h in pts):

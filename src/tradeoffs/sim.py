@@ -29,6 +29,7 @@ from .cache import (
     RESOLUTIONS,
     ReuseDepthPolicy,
     _checked_rows,
+    _entry_sizes,
     _ReplayCache,
     _whole_bytes,
 )
@@ -66,6 +67,7 @@ class SimConfig:
     lets a query match entries of any resolution; off by default, since
     a latent of the wrong resolution cannot be resumed from directly.
     Both per-resolution maps must cover every entry of ``RESOLUTIONS``.
+    The capacity is kept in whole bytes, as the cache counts it.
     """
 
     capacity_bytes: int
@@ -81,28 +83,22 @@ class SimConfig:
 
     def __post_init__(self):
         # Written so that NaN fails each check; an int of any size passes.
-        _whole_bytes(self.capacity_bytes)
+        object.__setattr__(self, "capacity_bytes", _whole_bytes(self.capacity_bytes))
         if not 1 <= self.total_steps < math.inf:
             raise ValueError("total_steps must be at least 1 and finite")
-        depths = tuple(sorted(int(d) for d in self.stored_depths))
-        if not depths:
-            raise ValueError("stored_depths must be non-empty")
+        depths, _ = _entry_sizes(self.stored_depths, self.latent_bytes_by_resolution)
         if depths[-1] > self.total_steps:
             raise ValueError("max stored depth exceeds total_steps")
         allowed = set(depths) | {0}
         for _, d in self.policy.bands:
             if d not in allowed:
                 raise ValueError(f"policy depth {d} not in stored_depths")
-        for name in ("step_cost_by_resolution", "latent_bytes_by_resolution"):
-            missing = [res for res in RESOLUTIONS if res not in getattr(self, name)]
-            if missing:
-                raise ValueError(f"{name} lacks {', '.join(missing)}")
+        missing = [res for res in RESOLUTIONS if res not in self.step_cost_by_resolution]
+        if missing:
+            raise ValueError(f"step_cost_by_resolution lacks {', '.join(missing)}")
         for res, c in self.step_cost_by_resolution.items():
             if not 0 < c < math.inf:
                 raise ValueError(f"step cost for {res} must be positive and finite")
-        for res, b in self.latent_bytes_by_resolution.items():
-            if not 1 <= b < math.inf:  # whole bytes: the cache truncates it
-                raise ValueError(f"latent size for {res} must be positive and finite, >= 1 byte")
         object.__setattr__(self, "stored_depths", depths)
         object.__setattr__(self, "step_cost_by_resolution", dict(self.step_cost_by_resolution))
         object.__setattr__(
@@ -110,7 +106,7 @@ class SimConfig:
         )
 
     def with_capacity(self, capacity_bytes: int) -> "SimConfig":
-        return replace(self, capacity_bytes=_whole_bytes(capacity_bytes))
+        return replace(self, capacity_bytes=capacity_bytes)
 
 
 @dataclass(frozen=True)
@@ -305,8 +301,8 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
 class CurvePoint:
     """One sweep row; saved/expected FLOPs are trace totals.
 
-    Raises ``ValueError`` for a negative capacity or a hit rate outside
-    [0, 1].
+    Raises ``ValueError`` for a negative, NaN or infinite capacity or a
+    hit rate outside [0, 1].
     """
 
     capacity_bytes: int
@@ -315,8 +311,8 @@ class CurvePoint:
     expected_cost_flops: float
 
     def __post_init__(self):
-        if self.capacity_bytes < 0:
-            raise ValueError("capacity must be nonnegative")
+        if not 0 <= self.capacity_bytes < math.inf:
+            raise ValueError("capacity must be nonnegative and finite")
         if not 0.0 <= self.hit_rate <= 1.0:
             raise ValueError("hit rate must lie in [0, 1]")
 
@@ -329,7 +325,7 @@ def _sweep_point(trace: Trace, config: SimConfig, capacity: int) -> CurvePoint:
     report = replay(trace, config.with_capacity(capacity), keep_records=False)
     s = report.summary
     return CurvePoint(
-        capacity_bytes=int(capacity),
+        capacity_bytes=capacity,
         hit_rate=s.hit_rate,
         saved_flops=s.total_saved_flops,
         expected_cost_flops=s.expected_cost_flops,

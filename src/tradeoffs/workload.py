@@ -35,7 +35,7 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 
 from ._forkmap import fork_map, fork_workers
-from .cache import _UNIT_TOL, DEFAULT_DIM, RESOLUTIONS
+from .cache import _RES_CODE, _UNIT_TOL, DEFAULT_DIM, RESOLUTIONS
 from .errors import (
     DimensionMismatch,
     NonFiniteEmbedding,
@@ -162,12 +162,12 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_requests < 0:
-            raise ValueError("num_requests must be nonnegative")
-        if self.num_clusters < 1:
-            raise ValueError("num_clusters must be at least 1")
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        if not (0 <= self.num_requests < math.inf and self.num_requests % 1 == 0):
+            raise ValueError("num_requests must be nonnegative, finite and whole")
+        if not (1 <= self.num_clusters < math.inf and self.num_clusters % 1 == 0):
+            raise ValueError("num_clusters must be at least 1, finite and whole")
+        if not (1 <= self.dimension < math.inf and self.dimension % 1 == 0):
+            raise ValueError("dimension must be at least 1, finite and whole")
         if not 0 <= self.zipf_exponent < math.inf:
             raise ValueError("zipf_exponent must be finite and nonnegative")
         if not 0 <= self.noise_sigma < math.inf:
@@ -464,13 +464,12 @@ def _write_sidecar(trace: Trace, path, digest: str) -> None:
     """Save ``trace`` as the sidecar of ``path``, whose bytes hash to
     ``digest``; the sidecar is replaced whole, never seen half written."""
     ids = [rid.encode("utf-8", "surrogatepass") for rid in trace.request_ids]
-    code = {res: i for i, res in enumerate(RESOLUTIONS)}
     columns = {
         "version": np.array(_SIDECAR_VERSION),
         "sha256": np.array(digest),
         "timestamps": trace.timestamps,
         "embeddings": trace.embeddings,
-        "resolutions": np.array([code[res] for res in trace.resolutions], dtype=np.int8),
+        "resolutions": np.array([_RES_CODE[res] for res in trace.resolutions], dtype=np.int8),
         "ids": np.frombuffer(b"".join(ids), dtype=np.uint8),
         "id_offsets": np.cumsum([0, *map(len, ids)], dtype=np.int64),
     }
@@ -617,7 +616,7 @@ def generate_trace(config: GeneratorConfig) -> Trace:
     0, 1, 2, ... ms; only their order matters downstream.
     """
     rng = np.random.default_rng(config.seed)
-    n, k, d = config.num_requests, config.num_clusters, config.dimension
+    n, k, d = int(config.num_requests), int(config.num_clusters), int(config.dimension)
 
     centers = rng.standard_normal((k, d))
     norms = np.linalg.norm(centers, axis=1)

@@ -18,6 +18,7 @@ from tradeoffs import (
     EntryTooLarge,
     NonFiniteEmbedding,
     ReuseDepthPolicy,
+    SimConfig,
     ZeroNormEmbedding,
     normalize,
 )
@@ -324,8 +325,6 @@ def test_entry_byte_sizes():
     *(({"capacity_bytes": c}, "capacity_bytes must be nonnegative and finite")
       for c in (-1, np.nan, np.inf)),
     *(({"dim": d}, "dim must be at least 1 and finite") for d in (0, np.nan, np.inf)),
-    *(({"latent_bytes": {**DEFAULT_LATENT_BYTES, "2k": b}}, "latent_bytes for 2k must be finite")
-      for b in (np.nan, np.inf, -np.inf)),
 ])
 def test_cache_geometry_is_checked_before_int(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -345,17 +344,21 @@ def test_partial_latent_bytes_map_is_rejected():
         CacheState(capacity_bytes=10**10, dim=2, latent_bytes={"720p": 1})
 
 
-@pytest.mark.parametrize("latent_bytes, stored_depths", [
-    ({"720p": 0.5, "1080p": 0.5, "2k": 0.5}, (5,)),
-    ({"720p": 16_000_000, "1080p": 40_000_000, "2k": 0.9}, (5, 10, 15, 20, 25)),
-    ({"720p": 1, "1080p": 1, "2k": 0}, (5,)),
-    ({"720p": 1, "1080p": 1, "2k": -1}, (5,)),
-    (DEFAULT_LATENT_BYTES, ()),
+@pytest.mark.parametrize("stored_depths, size_2k, message", [
+    *(((d,), 1, "stored depths must be at least 1 and finite") for d in (np.nan, np.inf, -5)),
+    ((5, 5), 1, "stored depths must be distinct"),
+    ((), 1, "stored_depths must be non-empty"),
+    *(((5,), b, "latent size for 2k must be positive and finite, >= 1 byte")
+      for b in (np.nan, np.inf, -np.inf, 0.5, 0.9, 0, -1)),
 ])
-def test_entry_sizes_under_one_byte_are_rejected_when_built(latent_bytes, stored_depths):
-    with pytest.raises(ValueError, match="every entry size must be at least one byte"):
-        CacheState(capacity_bytes=10**10, dim=2, stored_depths=stored_depths,
-                   latent_bytes=latent_bytes)
+@pytest.mark.parametrize("build", [
+    lambda depths, sizes: CacheState(E720, dim=2, stored_depths=depths, latent_bytes=sizes),
+    lambda depths, sizes: SimConfig(E720, stored_depths=depths, latent_bytes_by_resolution=sizes),
+], ids=["CacheState", "SimConfig"])
+def test_cache_and_config_share_one_geometry_rule(build, stored_depths, size_2k, message):
+    with pytest.raises(ValueError) as excinfo:
+        build(stored_depths, {**DEFAULT_LATENT_BYTES, "2k": size_2k})
+    assert str(excinfo.value) == message
 
 
 def test_entry_sizes_are_whole_bytes_per_resolution():

@@ -55,6 +55,7 @@ def test_comm_cost_values():
 def test_parameters_must_be_finite(bad):
     records = [
         lambda v: DeficitParams(v, 2, 100),
+        lambda v: DeficitParams(400, v, 100, deficit_bandwidth_factor=2),
         lambda v: DeficitParams(400, 2, v),
         lambda v: DeficitParams(400, 2, 100, allreduce_factor=v),
         lambda v: DeficitParams(400, 2, 100, state_volume_gb=v),
@@ -70,6 +71,7 @@ def test_parameters_must_be_finite(bad):
         lambda v: RateComputeSample(v, 1e9, 0.9),
         lambda v: RateComputeSample(0.1, v, 0.9),
         lambda v: RateComputeSample(0.1, 1e9, v),
+        lambda v: EmpiricalHitRate(((0.0, 0.1), (v, 0.5))),
     ]
     for make in records:
         with pytest.raises(ValueError, match="finite"):

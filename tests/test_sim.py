@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ def test_fractional_latent_sizes_are_truncated_to_whole_bytes():
     assert report.summary.peak_occupied_bytes == 5  # one entry: 5 depths of 1 byte
 
 
+def test_a_fractional_capacity_is_kept_and_reported_in_whole_bytes():
+    config = SimConfig(capacity_bytes=2 * E720 + 0.7)
+    assert config.capacity_bytes == 2 * E720 and type(config.capacity_bytes) is int
+    assert config.with_capacity(E720 + 0.7) == replace(config, capacity_bytes=E720)
+    report = replay(identical_trace(3), config)
+    assert report.capacity_bytes == 2 * E720
+    assert '"capacity_bytes": 160000000,' in json.dumps(report.to_dict())
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf"), -1])
+def test_curve_point_capacity_must_be_nonnegative_and_finite(capacity):
+    with pytest.raises(ValueError, match="capacity must be nonnegative and finite"):
+        CurvePoint(capacity, 0.5, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("step_cost, total_steps, fits", [
     (1e308, 50, 0), (1e308, 1, 1), (1e306, 50, 3), (3e307, 1, 5)])
 def test_replay_whose_flop_totals_overflow_is_a_value_error(step_cost, total_steps, fits):
@@ -141,7 +157,7 @@ def test_config_requires_every_resolution():
     with pytest.raises(ValueError, match="step_cost_by_resolution lacks 2k"):
         SimConfig(capacity_bytes=0,
                   step_cost_by_resolution={"720p": 1e9, "1080p": 1e9})
-    with pytest.raises(ValueError, match="latent_bytes_by_resolution lacks 1080p, 2k"):
+    with pytest.raises(ValueError, match="latent_bytes lacks 1080p, 2k"):
         SimConfig(capacity_bytes=0,
                   latent_bytes_by_resolution={"720p": 16_000_000})
 

@@ -829,6 +829,9 @@ def test_generator_config_validation():
         GeneratorConfig(num_requests=1, num_clusters=1, resolution_mix={})
     with pytest.raises(ValueError, match="dimension must be at least 1"):
         GeneratorConfig(num_requests=1, num_clusters=1, dimension=0)
+    for field in ("num_requests", "num_clusters", "dimension"):
+        with pytest.raises(ValueError, match=f"{field} must be .*whole"):
+            GeneratorConfig(**{"num_requests": 1, "num_clusters": 1, field: 2.5})
 
 
 def test_generator_rejects_noise_that_overflows():
@@ -839,8 +842,11 @@ def test_generator_rejects_noise_that_overflows():
             generate_trace(cfg)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_generator_config_rejects_non_finite_values(bad):
+    for field in ("num_requests", "num_clusters", "dimension"):
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            GeneratorConfig(**{"num_requests": 1, "num_clusters": 1, field: bad})
     with pytest.raises(ValueError, match="zipf_exponent must be finite"):
         GeneratorConfig(num_requests=1, num_clusters=1, zipf_exponent=bad)
     with pytest.raises(ValueError, match="noise_sigma must be finite"):
