@@ -5,13 +5,17 @@ I/O of ``workload`` (one share of rows or bytes per item). Each process
 takes a fixed stride of the items, so the processes share no state. The
 workers are forked, so the function and everything it refers to -- a
 trace, a config -- reach them by inheritance; only the results are
-pickled. Fork (a few ms per worker) rather than spawn, which would
-import numpy afresh and pickle the trace into every worker.
+pickled, each worker's into an unnamed file of its own (in memory where
+the platform allows), which this process maps and unpickles once the
+worker has exited: no pipe makes either side wait on the other. Fork (a
+few ms per worker) rather than spawn, which would import numpy afresh
+and pickle the trace into every worker.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from typing import Callable, Sequence
 
@@ -42,13 +46,16 @@ def fork_workers() -> int:
     return _usable_cpus()
 
 
-def _send_outcome(fn: Callable, items: list, send) -> None:
-    """A worker's part: send back ``fn`` of each item, or the error it raised."""
+def _write_outcome(fn: Callable, items: list, out) -> None:
+    """A worker's part: pickle ``fn`` of each item, or the error it raised,
+    into the file ``out``. A result that cannot be pickled ends the
+    worker with an error, before it has written a whole outcome."""
     try:
         outcome = (True, [fn(item) for item in items])
     except Exception as e:  # raised again in the parent
         outcome = (False, e)
-    send.send(outcome)
+    pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
 
 
 def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -60,9 +67,11 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
     children's results once its own are done. The items are not
     balanced by cost. Results come back in input order. An exception
     that ``fn`` raises in any process is raised here, so errors that
-    must be reported in input order belong in ``fn``'s return value.
-    Falls back to a plain loop when fewer than two processes would run
-    (see :func:`fork_workers`).
+    must be reported in input order belong in ``fn``'s return value; a
+    worker that exits without writing its results (it died, or they do
+    not pickle) is a :class:`ChildProcessError`. Falls back to a plain
+    loop when fewer than two processes would run (see
+    :func:`fork_workers`).
     """
     items = list(items)
     workers = min(workers, len(items))
@@ -70,34 +79,42 @@ def fork_map(fn: Callable, items: Sequence, workers: int) -> list:
         workers = min(workers, fork_workers())
     if workers < 2:
         return [fn(item) for item in items]
+    import mmap
     import multiprocessing
+    import tempfile
 
     ctx = multiprocessing.get_context("fork")
     children = []
     finished = False
     try:
         for j in range(1, workers):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_outcome, args=(fn, items[j::workers], send), daemon=True)
-            children.append((child, recv))
+            # An unnamed file for the worker's results, in memory where possible.
+            if hasattr(os, "memfd_create"):
+                out = open(os.memfd_create("fork_map"), "w+b")
+            else:
+                out = tempfile.TemporaryFile()
+            child = ctx.Process(target=_write_outcome, args=(fn, items[j::workers], out), daemon=True)
+            children.append((child, out))
             child.start()
-            send.close()
         results = [None] * len(items)
         results[::workers] = [fn(item) for item in items[::workers]]
-        for j, (child, recv) in enumerate(children, 1):
-            try:
-                ok, outcome = recv.recv()
-            except EOFError:
-                raise ChildProcessError("a fork_map worker died before it sent its results") from None
+        for j, (child, out) in enumerate(children, 1):
+            child.join()
+            size = os.fstat(out.fileno()).st_size
+            if child.exitcode != 0 or not size:
+                raise ChildProcessError(
+                    f"a fork_map worker exited with code {child.exitcode} without its results")
+            with mmap.mmap(out.fileno(), size, access=mmap.ACCESS_READ) as view:
+                ok, outcome = pickle.loads(view)
             if not ok:
                 raise outcome
             results[j::workers] = outcome
         finished = True
         return results
     finally:
-        for child, recv in children:
+        for child, out in children:
             if not finished and child.pid is not None:
-                child.terminate()  # it may be blocked sending to a pipe nobody reads
+                child.terminate()  # its results would not be read
             if child.pid is not None:
                 child.join()
-            recv.close()
+            out.close()

@@ -129,6 +129,8 @@ def _entry_sizes(stored_depths, latent_bytes) -> tuple[tuple[int, ...], tuple[in
     Written so that NaN fails each check."""
     if not all(1 <= d < math.inf for d in stored_depths):
         raise ValueError("stored depths must be at least 1 and finite")
+    if any(d % 1 for d in stored_depths):
+        raise ValueError("stored depths must be whole")
     depths = tuple(sorted(int(d) for d in stored_depths))
     if not depths:
         raise ValueError("stored_depths must be non-empty")
@@ -157,6 +159,8 @@ class ReuseDepthPolicy:
     def __post_init__(self):
         if not all(-math.inf < x < math.inf for band in self.bands for x in band):  # NaN fails
             raise ValueError("band bounds and depths must be finite")
+        if any(d % 1 for _, d in self.bands):
+            raise ValueError("band depths must be whole")
         bands = tuple((float(t), int(d)) for t, d in self.bands)
         if not bands:
             raise ValueError("at least one band is required")
@@ -285,6 +289,8 @@ class CacheState:
         self.capacity_bytes = _whole_bytes(capacity_bytes)
         if not 1 <= dim < math.inf:
             raise ValueError("dim must be at least 1 and finite")
+        if dim % 1:
+            raise ValueError("dim must be whole")
         self.dim = int(dim)
         self.policy = policy
         self.stored_depths, self._entry_size = _entry_sizes(stored_depths, latent_bytes)

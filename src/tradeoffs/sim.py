@@ -86,6 +86,8 @@ class SimConfig:
         object.__setattr__(self, "capacity_bytes", _whole_bytes(self.capacity_bytes))
         if not 1 <= self.total_steps < math.inf:
             raise ValueError("total_steps must be at least 1 and finite")
+        if self.total_steps % 1:
+            raise ValueError("total_steps must be whole")
         depths, _ = _entry_sizes(self.stored_depths, self.latent_bytes_by_resolution)
         if depths[-1] > self.total_steps:
             raise ValueError("max stored depth exceeds total_steps")

@@ -26,7 +26,9 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
+import threading
 import zipfile
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
@@ -168,6 +170,9 @@ class GeneratorConfig:
             raise ValueError("num_clusters must be at least 1, finite and whole")
         if not (1 <= self.dimension < math.inf and self.dimension % 1 == 0):
             raise ValueError("dimension must be at least 1, finite and whole")
+        seed = self.seed
+        if not (isinstance(seed, numbers.Real) and 0 <= seed < math.inf and seed % 1 == 0):
+            raise ValueError("seed must be nonnegative, finite and whole")
         if not 0 <= self.zipf_exponent < math.inf:
             raise ValueError("zipf_exponent must be finite and nonnegative")
         if not 0 <= self.noise_sigma < math.inf:
@@ -196,10 +201,10 @@ def _open_text(source):
 _NOT_UTF8 = "not valid UTF-8"
 _JSON_NUMBERS = frozenset({int, float})
 # Trace I/O runs in one share per CPU once a trace holds more embedding
-# values than this. Splitting costs about 10-13 ms on 2 CPUs (a fork, and
-# the share's result sent back); a value takes about 0.25 us to format
-# and 0.6 us to parse, so parsing gains from about 2^16 values on, and
-# formatting breaks even between 2^16 and 2^17.
+# values than this. Splitting costs about 11 ms (formatting) to 14 ms
+# (parsing) on 2 CPUs: a fork, and the share's result sent back. At 2^16
+# values one share took 27 ms to format and 58 ms to parse, and two shares
+# 24 and 43 ms, so both gain from about 2^16 values on.
 _SPLIT_MIN_VALUES = 1 << 16
 # A trace file is split by its size alone: its text takes about 21 bytes
 # per embedding value (21.2 measured at dim 768, 21.3 at dim 64).
@@ -490,9 +495,10 @@ def _write_sidecar(trace: Trace, path, digest: str) -> None:
 _UNREADABLE = (OSError, EOFError, RuntimeError, KeyError, ValueError, zipfile.BadZipFile)
 
 
-def _read_sidecar(path, digest: str) -> Trace | None:
-    """The trace in the sidecar of ``path`` if it was saved for bytes
-    that hash to ``digest``; otherwise None."""
+def _read_sidecar(path) -> tuple[str, Trace | Exception] | None:
+    """The digest that the sidecar of ``path`` was saved for, with the trace
+    it holds or the error that building that trace raised; None for a
+    sidecar that cannot be read or is of another format version."""
     try:
         with zipfile.ZipFile(os.fspath(path) + _SIDECAR_SUFFIX) as zf:
 
@@ -500,19 +506,47 @@ def _read_sidecar(path, digest: str) -> Trace | None:
                 with zf.open(name + ".npy") as f:
                     return np.lib.format.read_array(f, allow_pickle=False)
 
-            if column("version").item() != _SIDECAR_VERSION or column("sha256").item() != digest:
+            if column("version").item() != _SIDECAR_VERSION:
                 return None
-            names = ("timestamps", "ids", "id_offsets", "resolutions", "embeddings")
-            ts, ids, offsets, codes, emb = map(column, names)
+            names = ("sha256", "timestamps", "ids", "id_offsets", "resolutions", "embeddings")
+            saved, ts, ids, offsets, codes, emb = map(column, names)
+            saved = saved.item()
     except _UNREADABLE:
         return None
-    ids, offsets = ids.tobytes(), offsets.tolist()
-    return Trace(
-        ts,
-        [ids[a:b].decode("utf-8", "surrogatepass") for a, b in zip(offsets, offsets[1:])],
-        [RESOLUTIONS[i] for i in codes.tolist()],
-        emb,
-    )
+    try:
+        ids, offsets = ids.tobytes(), offsets.tolist()
+        trace = Trace(
+            ts,
+            [ids[a:b].decode("utf-8", "surrogatepass") for a, b in zip(offsets, offsets[1:])],
+            [RESOLUTIONS[i] for i in codes.tolist()],
+            emb,
+        )
+    except Exception as e:  # raised only if the sidecar is the file's
+        return saved, e
+    return saved, trace
+
+
+class _Hashing(threading.Thread):
+    """``_file_sha256(path)`` on a thread of its own; ``digest()`` joins
+    it and returns the digest, or raises the error that hashing raised."""
+
+    def __init__(self, path):
+        super().__init__(name="trace-sha256")
+        self._path = path
+        self._result = self._error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._result = _file_sha256(self._path)
+        except BaseException as e:  # raised in the caller, by digest()
+            self._error = e
+
+    def digest(self) -> str:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._result
 
 
 def load_trace(source: str | os.PathLike | IO) -> Trace:
@@ -521,10 +555,12 @@ def load_trace(source: str | os.PathLike | IO) -> Trace:
     The input is read one line at a time; a large regular file is read
     in one share per CPU, in forked workers (see ``_parse_file``), with
     the same result and the same errors. A regular file with a
-    ``save_trace`` sidecar beside it is hashed first (the trace's
-    ``source_sha256``); if the sidecar was saved for exactly those bytes,
-    the trace is built from it instead, through the same checks, and
-    equals the parse. A file without a sidecar is parsed, not hashed.
+    ``save_trace`` sidecar beside it is hashed (the trace's
+    ``source_sha256``) on a thread while the sidecar is read; if the
+    sidecar was saved for exactly those bytes, the trace is built from
+    it instead, through the same checks, and equals the parse. The
+    thread ends before anything else happens, so a parse may still fork.
+    A file without a sidecar is parsed, not hashed.
     Raises :class:`ParseError` with the 1-based line number for
     malformed lines (NaN, infinite and out-of-range embedding values
     included; text that is not UTF-8 has a line number only in a byte
@@ -535,10 +571,18 @@ def load_trace(source: str | os.PathLike | IO) -> Trace:
     if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
         if not os.path.exists(os.fspath(source) + _SIDECAR_SUFFIX):
             return _parse_file(source)
-        digest = _file_sha256(source)
-        trace = _read_sidecar(source, digest)
-        if trace is None:
+        hashing = _Hashing(source)
+        try:
+            sidecar = _read_sidecar(source)
+        finally:
+            hashing.join()
+        digest = hashing.digest()
+        if sidecar is None or sidecar[0] != digest:
             trace = _parse_file(source)
+        elif isinstance(sidecar[1], Exception):
+            raise sidecar[1]
+        else:
+            trace = sidecar[1]
         trace.source_sha256 = digest
         return trace
     records = _Records()
@@ -615,7 +659,7 @@ def generate_trace(config: GeneratorConfig) -> Trace:
     von Mises-Fisher draw without special functions. Timestamps are
     0, 1, 2, ... ms; only their order matters downstream.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(int(config.seed))
     n, k, d = int(config.num_requests), int(config.num_clusters), int(config.dimension)
 
     centers = rng.standard_normal((k, d))

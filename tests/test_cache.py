@@ -331,6 +331,29 @@ def test_cache_geometry_is_checked_before_int(kwargs, message):
         CacheState(**{"capacity_bytes": E720, "dim": 2, **kwargs})
 
 
+def test_a_fractional_dim_is_rejected_not_truncated():
+    with pytest.raises(ValueError, match="dim must be whole"):
+        CacheState(E720, dim=2.5)
+    assert CacheState(E720, dim=2.0).dim == 2
+
+
+def test_a_fractional_band_depth_is_rejected_not_truncated():
+    with pytest.raises(ValueError, match="band depths must be whole"):
+        ReuseDepthPolicy(((0.9, 5.7),))
+    assert ReuseDepthPolicy(((0.9, 5.0),)).bands == ((0.9, 5),)
+
+
+@pytest.mark.parametrize("build", [
+    lambda depths: CacheState(E720, dim=2, stored_depths=depths),
+    lambda depths: SimConfig(E720, stored_depths=depths),
+], ids=["CacheState", "SimConfig"])
+def test_a_fractional_stored_depth_is_rejected_not_truncated(build):
+    with pytest.raises(ValueError) as excinfo:
+        build((5.5, 10, 15, 20, 25))
+    assert str(excinfo.value) == "stored depths must be whole"
+    assert build((5.0, 10, 15, 20, 25)).stored_depths == (5, 10, 15, 20, 25)
+
+
 def test_unknown_resolution_is_a_value_error():
     c = CacheState(capacity_bytes=E720, dim=2)
     for call in (c.lookup, c.insert, lambda _, res: c.entry_byte_size(res)):

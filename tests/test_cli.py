@@ -294,6 +294,20 @@ def test_gen_writes_trace_and_manifest(tmp_path, capsys):
     assert manifest["subcommand"] == "gen" and manifest["seed"] == 6
 
 
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_a_negative_seed_is_a_usage_error_that_names_the_seed(tmp_path, capsys, monkeypatch, where):
+    out = tmp_path / "t.jsonl"
+    argv = ["gen", "--out", str(out), "--n", "20", "--clusters", "2", "--dim", "8"]
+    if where == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("TRINITY_SEED", "-3")
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", "error: seed must be nonnegative, finite and whole\n")
+    assert not out.exists()
+
+
 def test_trinity_seed_env_overrides_flag(tmp_path, capsys, monkeypatch):
     out_env = tmp_path / "env.jsonl"
     monkeypatch.setenv("TRINITY_SEED", "99")

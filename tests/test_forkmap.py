@@ -3,6 +3,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import tradeoffs._forkmap as forkmap
@@ -58,6 +59,52 @@ def test_fork_map_raises_a_worker_error(monkeypatch):
 
     with pytest.raises(ValueError, match="item 1"):
         forkmap.fork_map(fail_on_1, range(6), 2)
+
+
+def _die_on_1(i):
+    if i == 1:  # the first item a child takes
+        os._exit(3)
+    return i
+
+
+def _unpicklable_on_1(i):
+    return threading.Lock() if i == 1 else i
+
+
+@needs_fork
+@pytest.mark.parametrize("fn", [_die_on_1, _unpicklable_on_1])
+def test_a_worker_that_writes_no_results_is_a_child_process_error(monkeypatch, fn):
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 2)
+    with pytest.raises(ChildProcessError, match="worker exited with code [1-9].* without its results"):
+        forkmap.fork_map(fn, range(4), 2)
+
+
+@needs_fork
+def test_a_worker_that_exits_cleanly_without_results_is_a_child_process_error(monkeypatch):
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkmap, "_write_outcome", lambda fn, items, out: None)
+    with pytest.raises(ChildProcessError, match="worker exited with code 0 without its results"):
+        forkmap.fork_map(_pid_after, range(4), 2)
+
+
+@needs_fork
+def test_fork_map_returns_a_result_of_many_megabytes_equal(monkeypatch):
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(3)
+    blocks = [rng.standard_normal((500, 768)) for _ in range(2)]  # 3 MB each
+    out = forkmap.fork_map(lambda i: (blocks[i], os.getpid()), range(2), 2)
+    assert out[0][1] == os.getpid() != out[1][1]
+    for (block, _), expect in zip(out, blocks):
+        assert block.dtype == expect.dtype and block.tobytes() == expect.tobytes()
+
+
+@needs_fork
+def test_fork_map_returns_results_through_an_unnamed_file_without_memfd(monkeypatch):
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    out = forkmap.fork_map(_pid_after, range(6), 2)
+    assert [square for square, _ in out] == [i * i for i in range(6)]
+    assert out[0][1] == os.getpid() != out[1][1]
 
 
 def test_fork_map_stays_in_process_beside_other_threads():

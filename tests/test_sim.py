@@ -85,6 +85,13 @@ def test_config_rejects_non_finite_step_cost(cost):
                   step_cost_by_resolution={"720p": 1e9, "1080p": cost, "2k": 1e9})
 
 
+def test_fractional_total_steps_are_rejected_not_kept():
+    policy = ReuseDepthPolicy(((0.9, 1),))
+    with pytest.raises(ValueError, match="total_steps must be whole"):
+        SimConfig(0, total_steps=2.5, stored_depths=(1,), policy=policy)
+    assert SimConfig(0, total_steps=2.0, stored_depths=(1,), policy=policy).total_steps == 2
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("total_steps", float("nan"), "total_steps must be at least 1 and finite"),
     ("total_steps", float("inf"), "total_steps must be at least 1 and finite"),

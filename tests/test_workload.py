@@ -1,21 +1,26 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import sys
+import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import tradeoffs._forkmap as forkmap
+import tradeoffs.sim as sim
 import tradeoffs.workload as workload
 from tradeoffs import (
     DimensionMismatch,
     GeneratorConfig,
     NonFiniteEmbedding,
     ParseError,
+    SimConfig,
     Trace,
     ZeroNormEmbedding,
     generate_trace,
@@ -23,6 +28,9 @@ from tradeoffs import (
     save_trace,
     serialize_trace,
 )
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
 
 
 def _load(text):
@@ -671,17 +679,36 @@ def test_a_stale_sidecar_parses_and_records_the_digest_of_the_file(tmp_path, par
     assert loaded.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _forged_sidecar(path, digest):
-    """A sidecar under ``digest`` whose second embedding is zero."""
+# What building the trace of a sidecar with each kind of bad data raises.
+BAD_SIDECAR_DATA = {
+    "a zero embedding": ZeroNormEmbedding,
+    "a NaN embedding": NonFiniteEmbedding,
+    "an unknown resolution code": IndexError,
+    "ids that are not UTF-8": UnicodeDecodeError,
+    "columns of other lengths": ValueError,
+}
+
+
+def _forged_sidecar(path, digest, bad="a zero embedding"):
+    """A sidecar under ``digest`` with the bad data ``bad`` names."""
     trace = _mixed_trace(10, 4)
-    emb = trace.embeddings.copy()
-    emb[1] = 0.0
     ids = "".join(trace.request_ids).encode()
-    np.savez(_sidecar(path), version=np.array(workload._SIDECAR_VERSION),
-             sha256=np.array(digest), dimension=np.array(4), timestamps=trace.timestamps,
-             embeddings=emb, resolutions=np.zeros(10, dtype=np.int8),
-             ids=np.frombuffer(ids, dtype=np.uint8),
-             id_offsets=np.cumsum([0, *map(len, trace.request_ids)]))
+    columns = dict(
+        version=np.array(workload._SIDECAR_VERSION), sha256=np.array(digest),
+        dimension=np.array(4), timestamps=trace.timestamps, embeddings=trace.embeddings.copy(),
+        resolutions=np.zeros(10, dtype=np.int8), ids=np.frombuffer(ids, dtype=np.uint8),
+        id_offsets=np.cumsum([0, *map(len, trace.request_ids)]))
+    if bad == "a zero embedding":
+        columns["embeddings"][1] = 0.0
+    elif bad == "a NaN embedding":
+        columns["embeddings"][3] = np.nan
+    elif bad == "an unknown resolution code":
+        columns["resolutions"][:] = 9
+    elif bad == "ids that are not UTF-8":
+        columns["ids"] = np.full(len(ids), 0xFF, dtype=np.uint8)
+    elif bad == "columns of other lengths":
+        columns["timestamps"] = trace.timestamps[:4]
+    np.savez(_sidecar(path), **columns)
 
 
 def test_a_sidecar_that_fails_its_checks_raises_only_if_it_is_the_files(tmp_path):
@@ -722,6 +749,41 @@ def test_a_failure_of_the_hash_reaches_the_caller_unchanged(tmp_path, monkeypatc
     with pytest.raises(OSError) as exc:
         load_trace(path)
     assert exc.value is failure
+
+
+@pytest.mark.parametrize("bad", BAD_SIDECAR_DATA)
+def test_a_foreign_sidecar_of_bad_data_loads_as_the_parse(tmp_path, parses, bad):
+    # Its columns are built while the file is hashed; what the build
+    # raised counts only once the digests match, and here they do not.
+    trace = _mixed_trace(20, 4)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    _forged_sidecar(path, "0" * 64, bad)
+    loaded = load_trace(path)
+    assert loaded == trace and parses == [str(path)]
+    assert loaded.source_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    _forged_sidecar(path, loaded.source_sha256, bad)
+    with pytest.raises(BAD_SIDECAR_DATA[bad]):
+        load_trace(path)
+
+
+@needs_fork
+def test_a_sidecar_load_leaves_no_thread_so_a_sweep_still_forks(tmp_path, monkeypatch):
+    monkeypatch.setattr(forkmap, "_usable_cpus", lambda: 2)
+    trace = _mixed_trace(40, 8)
+    path = tmp_path / "t.jsonl"
+    save_trace(trace, path)
+    threads = threading.active_count()
+    loaded = load_trace(path)
+    assert loaded.source_sha256 is not None  # read from the sidecar, so hashed
+    assert threading.active_count() == threads
+    config, caps = SimConfig(capacity_bytes=0), [80_000_000, 160_000_000, 320_000_000]
+    expect = sim.sweep(loaded, config, caps, jobs=1)
+    point = sim._sweep_point
+    monkeypatch.setattr(sim, "_sweep_point", lambda *args: (os.getpid(), point(*args)))
+    out = sim.sweep(loaded, config, caps, jobs=2)
+    assert [p for _, p in out] == expect
+    assert len({pid for pid, _ in out}) == 2
 
 
 def test_trace_equality_detects_differences():
@@ -840,6 +902,17 @@ def test_generator_rejects_noise_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="noise_sigma is too large"):
             generate_trace(cfg)
+
+
+@pytest.mark.parametrize("seed", [float("nan"), float("inf"), 2.5, -1, -3.0, "3", None, [1, 2]])
+def test_a_seed_that_is_not_a_nonnegative_whole_number_is_rejected_when_built(seed):
+    with pytest.raises(ValueError, match="seed must be nonnegative, finite and whole"):
+        GeneratorConfig(num_requests=1, num_clusters=1, seed=seed)
+
+
+def test_a_whole_float_seed_draws_the_trace_of_its_integer():
+    config = GeneratorConfig(num_requests=20, num_clusters=3, dimension=4, seed=7.0)
+    assert generate_trace(config) == generate_trace(replace(config, seed=7))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
