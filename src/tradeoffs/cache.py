@@ -10,12 +10,16 @@ of zero is a miss.
 Capacity is a byte budget; eviction is LRU over logical ticks that
 advance on every lookup and insert, so recency is well defined without
 wall clocks. Recency is unique among resident entries, so it settles
-every tie on its own, which keeps replays bit-reproducible.
+every tie on its own, which keeps replays bit-reproducible. It lives in
+one ordered index, least recently used first, so a hit moves its entry
+to the end and an eviction takes the head, each in O(1).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -173,12 +177,14 @@ class ReuseDepthPolicy:
         if any(depths[i] < depths[i + 1] for i in range(len(depths) - 1)):
             raise ValueError("depths must be nonincreasing as bounds decrease")
         object.__setattr__(self, "bands", bands)
+        # Ascending bounds, and the depth of each count of bounds below a
+        # similarity: bisect_left counts the bounds strictly below it (none
+        # for NaN), so a similarity on a bound gets the band under it.
+        object.__setattr__(self, "_bounds", tuple(bounds[::-1]))
+        object.__setattr__(self, "_depths", (0, *depths[::-1]))
 
     def depth_for(self, similarity: float) -> int:
-        for bound, depth in self.bands:
-            if similarity > bound:
-                return depth
-        return 0
+        return self._depths[bisect_left(self._bounds, similarity)]
 
 
 DEFAULT_POLICY = ReuseDepthPolicy(
@@ -215,25 +221,18 @@ class LookupResult(NamedTuple):
 
 
 class _Partition:
-    """Packed rows of the entries one lookup scores; rows [0, n) are live.
+    """Packed rows of the entries one lookup scores; rows [0, n) are live."""
 
-    ``lru`` is the row of the least recently used live entry, or None
-    when unknown, and ``lru_used`` is that entry's ``last_used``. It
-    stays valid across appends, since a new entry is always the most
-    recent, and is forgotten when rows move or when a hit refreshes
-    that row.
-    """
-
-    COLUMNS = ("emb", "ids", "last_used", "res")
+    COLUMNS = ("emb", "ids", "res")
 
     def __init__(self, dim: int):
         self.n = 0
-        self.lru = self.lru_used = None
         self.emb = np.zeros((64, dim))
-        self.ids, self.last_used = np.zeros((2, 64), dtype=np.int64)
+        self.ids = np.zeros(64, dtype=np.int64)
         self.res = np.zeros(64, dtype=np.int8)  # index into RESOLUTIONS
 
-    def append(self, emb, entry_id: int, last_used: int, res: int) -> None:
+    def append(self, emb, entry_id: int, res: int) -> int:
+        """Add a row after the live ones and return its index."""
         row = self.n
         if row == len(self.ids):
             for name in self.COLUMNS:
@@ -241,28 +240,33 @@ class _Partition:
                 setattr(self, name, np.resize(arr, (2 * row,) + arr.shape[1:]))
         self.emb[row] = emb
         self.ids[row] = entry_id
-        self.last_used[row] = last_used
         self.res[row] = res
         self.n = row + 1
+        return row
 
-    def swap_remove(self, row: int) -> None:
+    def swap_remove(self, row: int) -> int | None:
+        """Drop ``row`` by moving the last live row into it; return the id
+        of the entry that moved, or None when ``row`` was the last."""
         self.n = last = self.n - 1
-        self.lru = None
-        if row != last:
-            self.emb[row] = self.emb[last]
-            self.ids[row] = self.ids[last]
-            self.last_used[row] = self.last_used[last]
-            self.res[row] = self.res[last]
+        if row == last:
+            return None
+        self.emb[row] = self.emb[last]
+        self.ids[row] = moved = self.ids.item(last)
+        self.res[row] = self.res.item(last)
+        return moved
 
 
 class CacheState:
     """Byte-budgeted LRU cache over unit-norm embeddings.
 
-    The packed arrays are the only state. Entries are split into one
-    partition per resolution when ``match_same_resolution`` is set, and
-    into a single partition otherwise, so a lookup scores its query's
-    partition with one matrix-vector product. Evicted rows are
-    swap-removed so each partition stays contiguous.
+    Embeddings live in packed arrays, one partition per resolution when
+    ``match_same_resolution`` is set and a single partition otherwise,
+    so a lookup scores its query's partition with one matrix-vector
+    product. Evicted rows are swap-removed so each partition stays
+    contiguous. Recency lives only in ``_lru``, an ordered index from
+    entry id to ``[partition, row, last_used]``, least recently used
+    first: a hit moves its entry to the end, an eviction pops the head,
+    and a swap-remove updates the row of the entry it moved.
 
     A logical tick counter advances on every lookup and on every
     successful insert; the operation is stamped with the pre-advance
@@ -298,21 +302,18 @@ class CacheState:
         self.occupied_bytes = 0
         self.evictions = 0
         self._next_id = 0
+        self._lru: OrderedDict[int, list] = OrderedDict()
         if match_same_resolution:
             self._parts = [_Partition(self.dim) for _ in RESOLUTIONS]
-            self._part_of = dict(zip(RESOLUTIONS, self._parts))
         else:
             self._parts = [_Partition(self.dim)]
-            self._part_of = dict.fromkeys(RESOLUTIONS, self._parts[0])
+        # Each resolution's partition and code, reached with one dict access;
+        # without same-resolution matching, the one partition serves every code.
+        self._part_of = {res: (self._parts[code % len(self._parts)], code)
+                         for res, code in _RES_CODE.items()}
 
     def __len__(self) -> int:
-        return sum(part.n for part in self._parts)
-
-    def _partition(self, resolution: str) -> _Partition:
-        try:
-            return self._part_of[resolution]
-        except KeyError:
-            raise ValueError(f"unknown resolution {resolution!r}") from None
+        return len(self._lru)
 
     def _check_vec(self, embedding) -> np.ndarray:
         vec = normalize(embedding)
@@ -322,17 +323,18 @@ class CacheState:
 
     def entry_byte_size(self, resolution: str) -> int:
         """An entry's footprint: one latent per stored depth."""
-        self._partition(resolution)
+        if resolution not in _RES_CODE:
+            raise ValueError(f"unknown resolution {resolution!r}")
         return self._entry_size[_RES_CODE[resolution]]
 
     def resident(self) -> dict[int, CacheEntry]:
         """Snapshots of the resident entries, keyed and ordered by id."""
-        rows = sorted((int(p.ids[r]), p, r) for p in self._parts for r in range(p.n))
-        return {
-            i: CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[p.res[r]], self._entry_size[p.res[r]],
-                          self.stored_depths, int(p.last_used[r]))
-            for i, p, r in rows
-        }
+        entries = {}
+        for i in sorted(self._lru):
+            p, r, last_used = self._lru[i]
+            entries[i] = CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[p.res[r]],
+                                    self._entry_size[p.res[r]], self.stored_depths, last_used)
+        return entries
 
     # -- core operations ----------------------------------------------------
 
@@ -343,7 +345,10 @@ class CacheState:
         recency; a below-threshold best match does not.
         """
         vec = self._check_vec(embedding)
-        part = self._partition(resolution)
+        try:
+            part = self._part_of[resolution][0]
+        except KeyError:
+            raise ValueError(f"unknown resolution {resolution!r}") from None
         tick = self.tick
         self.tick += 1
 
@@ -355,16 +360,16 @@ class CacheState:
         sims = part.emb[:n].dot(vec)
         row = sims.argmax()
         if n - 1 - sims[::-1].argmax() != row:  # the first and last maxima differ: a tie
-            tied = np.flatnonzero(sims == sims[row])
-            row = tied[part.last_used[tied].argmax()]
+            tied = np.flatnonzero(sims == sims[row]).tolist()
+            row = max(tied, key=lambda r: self._lru[part.ids.item(r)][2])
         best_sim = sims.item(row)
         matched_id = part.ids.item(row)
 
         depth = self.policy.depth_for(best_sim)
         if depth > 0:
-            part.last_used[row] = tick
-            if row == part.lru:
-                part.lru = None
+            lru = self._lru
+            lru[matched_id][2] = tick
+            lru.move_to_end(matched_id)
             return LookupResult._make((True, depth, best_sim, matched_id, tick))
         return LookupResult._make((False, 0, best_sim, matched_id, tick))
 
@@ -378,8 +383,10 @@ class CacheState:
         anything when the entry alone exceeds the budget.
         """
         vec = self._check_vec(embedding)
-        part = self._partition(resolution)
-        code = _RES_CODE[resolution]
+        try:
+            part, code = self._part_of[resolution]
+        except KeyError:
+            raise ValueError(f"unknown resolution {resolution!r}") from None
         byte_size = self._entry_size[code]
         if byte_size > self.capacity_bytes:
             raise EntryTooLarge(
@@ -388,35 +395,23 @@ class CacheState:
         tick = self.tick
         self.tick += 1
 
+        lru = self._lru
         evicted = []
-        while self.occupied_bytes + byte_size > self.capacity_bytes:
-            evicted.append(self._evict_one())
+        occupied = self.occupied_bytes + byte_size
+        while occupied > self.capacity_bytes:
+            victim_id, (victim, row, _) = lru.popitem(last=False)
+            occupied -= self._entry_size[victim.res.item(row)]
+            moved = victim.swap_remove(row)
+            if moved is not None:
+                lru[moved][1] = row
+            evicted.append(victim_id)
+        self.evictions += len(evicted)
+        self.occupied_bytes = occupied
 
         entry_id = self._next_id
         self._next_id += 1
-        part.append(vec, entry_id, tick, code)
-        self.occupied_bytes += byte_size
+        lru[entry_id] = [part, part.append(vec, entry_id, code), tick]
         return entry_id, evicted
-
-    def _evict_one(self) -> int:
-        """Remove the least recently used entry of any partition; return its id.
-
-        Only partitions that do not remember their LRU row rescan for it.
-        """
-        victim = None
-        for part in self._parts:
-            if part.n:
-                if part.lru is None:
-                    part.lru = row = part.last_used[: part.n].argmin()
-                    part.lru_used = part.last_used.item(row)
-                if victim is None or part.lru_used < victim.lru_used:
-                    victim = part
-        row = victim.lru
-        victim_id = victim.ids.item(row)
-        self.occupied_bytes -= self._entry_size[victim.res.item(row)]
-        victim.swap_remove(row)
-        self.evictions += 1
-        return victim_id
 
 
 class _ReplayCache(CacheState):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,38 @@ def test_policy_validation():
                   ((0.9, 5), (-np.inf, 0))):
         with pytest.raises(ValueError, match="band bounds and depths must be finite"):
             ReuseDepthPolicy(bands=bands)
+
+
+def loop_depth(bands, similarity):
+    """The band rule as the README states it, one band at a time."""
+    for bound, depth in bands:
+        if similarity > bound:
+            return depth
+    return 0
+
+
+EDGE_POLICIES = [DEFAULT_POLICY, ReuseDepthPolicy(((0.5, 7),)),
+                 ReuseDepthPolicy(((0.3, 4), (0.0, 4), (-0.3, 2))),
+                 ReuseDepthPolicy(((-0.2, 10), (-0.5, 5), (-0.9, 1)))]
+
+
+@pytest.mark.parametrize("policy", EDGE_POLICIES, ids=lambda p: str(p.bands))
+def test_depth_for_grades_band_edges_as_a_plain_loop(policy):
+    bands = policy.bands
+    below = [d for _, d in bands[1:]] + [0]
+    for (bound, depth), lower in zip(bands, below):
+        # On a bound is the band under it; the next float up is the band's own.
+        assert policy.depth_for(bound) == lower == loop_depth(bands, bound)
+        assert policy.depth_for(math.nextafter(bound, 2)) == depth
+    lowest = bands[-1][0]
+    for s in (math.nextafter(lowest, -2), lowest - 1.0, -math.inf, math.nan):
+        assert policy.depth_for(s) == 0 == loop_depth(bands, s)
+
+
+@pytest.mark.parametrize("policy", EDGE_POLICIES, ids=lambda p: str(p.bands))
+@given(s=st.floats(allow_nan=True, allow_infinity=True))
+def test_depth_for_agrees_with_a_plain_loop(policy, s):
+    assert policy.depth_for(s) == loop_depth(policy.bands, s)
 
 
 @given(s1=st.floats(-1.0, 1.0), s2=st.floats(-1.0, 1.0))
@@ -436,8 +469,9 @@ def test_multi_eviction_for_large_entry():
 
 
 def test_remembered_lru_rows_follow_hits_and_swap_removes():
-    # Partitions remember their LRU row between evictions. A hit on that
-    # row and a swap_remove that moves rows must both make it rescan.
+    # The recency index remembers each entry's row. A hit must move its
+    # entry to the back of the index, and a swap_remove that moves a row
+    # must update the row the index holds for the entry that moved.
     one_byte = dict.fromkeys(RESOLUTIONS, 1)
     c = CacheState(capacity_bytes=5, dim=8, stored_depths=(5,), latent_bytes=one_byte)
     ref = RefCache(5)
@@ -453,9 +487,9 @@ def test_remembered_lru_rows_follow_hits_and_swap_removes():
                          ("a2", 3, "720p"), ("a3", 4, "720p")):
         assert insert(name, i, res) == []
     # 720p holds a1 a2 a3 and 1080p b1 b2. Evicting a1 moves a3 into
-    # its row; 1080p was scanned too and remembers b1.
+    # its row; b1 is now the least recently used entry.
     assert insert("c1", 5, "2k") == ["a1"]
-    # Refresh 1080p's remembered LRU entry: b2 is now the oldest resident.
+    # Refresh b1: b2 is now the oldest resident.
     assert c.lookup(unit(1), "1080p").matched_id == ids["b1"]
     assert ref.lookup(unit(1).tolist(), "1080p")["matched"] == ids["b1"]
     assert insert("c2", 6, "2k") == ["b2"]
@@ -558,7 +592,10 @@ class CacheVersusReference(RuleBasedStateMachine):
     def same_residents(self):
         assert self.cache.occupied_bytes == self.ref.occupied()
         assert len(self.cache) == len(self.ref.entries)
-        assert list(self.cache.resident()) == sorted(e["id"] for e in self.ref.entries)
+        # Each resident's recency, not only their order: the tie-break reads it.
+        got = {i: e.last_used for i, e in self.cache.resident().items()}
+        want = {e["id"]: e["last_used"] for e in self.ref.entries}
+        assert list(got) == sorted(want) and got == want
 
 
 TestCacheVersusReference = CacheVersusReference.TestCase
