@@ -10,9 +10,11 @@ of zero is a miss.
 Capacity is a byte budget; eviction is LRU over logical ticks that
 advance on every lookup and insert, so recency is well defined without
 wall clocks. Recency is unique among resident entries, so it settles
-every tie on its own, which keeps replays bit-reproducible. It lives in
-one ordered index, least recently used first, so a hit moves its entry
-to the end and an eviction takes the head, each in O(1).
+every tie on its own, which keeps replays bit-reproducible. Each
+resident entry is one record, shared by the packed partition row that
+lookups score and by one ordered recency index, least recently used
+first, so a hit moves its entry to the end and an eviction takes the
+head, each in O(1).
 """
 
 from __future__ import annotations
@@ -221,39 +223,29 @@ class LookupResult(NamedTuple):
 
 
 class _Partition:
-    """Packed rows of the entries one lookup scores; rows [0, n) are live."""
-
-    COLUMNS = ("emb", "ids", "res")
+    """The entries one lookup scores: row ``r`` of ``emb`` is the embedding
+    of the entry whose record is ``entries[r]``, so rows
+    [0, len(entries)) are live."""
 
     def __init__(self, dim: int):
-        self.n = 0
         self.emb = np.zeros((64, dim))
-        self.ids = np.zeros(64, dtype=np.int64)
-        self.res = np.zeros(64, dtype=np.int8)  # index into RESOLUTIONS
+        self.entries: list[list] = []
 
-    def append(self, emb, entry_id: int, res: int) -> int:
-        """Add a row after the live ones and return its index."""
-        row = self.n
-        if row == len(self.ids):
-            for name in self.COLUMNS:
-                arr = getattr(self, name)
-                setattr(self, name, np.resize(arr, (2 * row,) + arr.shape[1:]))
+    def append(self, emb, record: list) -> None:
+        """Add a row after the live ones, and set ``record``'s row to it."""
+        record[1] = row = len(self.entries)
+        if row == len(self.emb):
+            self.emb = np.resize(self.emb, (2 * row, self.emb.shape[1]))
         self.emb[row] = emb
-        self.ids[row] = entry_id
-        self.res[row] = res
-        self.n = row + 1
-        return row
+        self.entries.append(record)
 
-    def swap_remove(self, row: int) -> int | None:
-        """Drop ``row`` by moving the last live row into it; return the id
-        of the entry that moved, or None when ``row`` was the last."""
-        self.n = last = self.n - 1
-        if row == last:
-            return None
-        self.emb[row] = self.emb[last]
-        self.ids[row] = moved = self.ids.item(last)
-        self.res[row] = self.res.item(last)
-        return moved
+    def swap_remove(self, row: int) -> None:
+        """Drop ``row`` by moving the last live row, and its record, into it."""
+        last = self.entries.pop()
+        if last[1] != row:
+            self.emb[row] = self.emb[last[1]]
+            self.entries[row] = last
+            last[1] = row
 
 
 class CacheState:
@@ -263,10 +255,12 @@ class CacheState:
     ``match_same_resolution`` is set and a single partition otherwise,
     so a lookup scores its query's partition with one matrix-vector
     product. Evicted rows are swap-removed so each partition stays
-    contiguous. Recency lives only in ``_lru``, an ordered index from
-    entry id to ``[partition, row, last_used]``, least recently used
-    first: a hit moves its entry to the end, an eviction pops the head,
-    and a swap-remove updates the row of the entry it moved.
+    contiguous. Each resident entry is one record,
+    ``[partition, row, last_used, code, entry_id]`` (``code`` indexes
+    ``RESOLUTIONS``), held both by its partition, at its row, and by
+    ``_lru``, an ordered index from entry id, least recently used first:
+    a hit moves its entry to the end, an eviction pops the head, and a
+    swap-remove sets the row of the record it moved.
 
     A logical tick counter advances on every lookup and on every
     successful insert; the operation is stamped with the pre-advance
@@ -331,9 +325,9 @@ class CacheState:
         """Snapshots of the resident entries, keyed and ordered by id."""
         entries = {}
         for i in sorted(self._lru):
-            p, r, last_used = self._lru[i]
-            entries[i] = CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[p.res[r]],
-                                    self._entry_size[p.res[r]], self.stored_depths, last_used)
+            p, r, last_used, code, _ = self._lru[i]
+            entries[i] = CacheEntry(i, p.emb[r].copy(), RESOLUTIONS[code],
+                                    self._entry_size[code], self.stored_depths, last_used)
         return entries
 
     # -- core operations ----------------------------------------------------
@@ -352,7 +346,8 @@ class CacheState:
         tick = self.tick
         self.tick += 1
 
-        n = part.n
+        entries = part.entries
+        n = len(entries)
         if n == 0:
             # LookupResult._make skips the argument parsing of the generated __new__.
             return LookupResult._make((False, 0, None, None, tick))
@@ -361,15 +356,15 @@ class CacheState:
         row = sims.argmax()
         if n - 1 - sims[::-1].argmax() != row:  # the first and last maxima differ: a tie
             tied = np.flatnonzero(sims == sims[row]).tolist()
-            row = max(tied, key=lambda r: self._lru[part.ids.item(r)][2])
+            row = max(tied, key=lambda r: entries[r][2])
         best_sim = sims.item(row)
-        matched_id = part.ids.item(row)
+        record = entries[row]
+        matched_id = record[4]
 
         depth = self.policy.depth_for(best_sim)
         if depth > 0:
-            lru = self._lru
-            lru[matched_id][2] = tick
-            lru.move_to_end(matched_id)
+            record[2] = tick
+            self._lru.move_to_end(matched_id)
             return LookupResult._make((True, depth, best_sim, matched_id, tick))
         return LookupResult._make((False, 0, best_sim, matched_id, tick))
 
@@ -399,18 +394,17 @@ class CacheState:
         evicted = []
         occupied = self.occupied_bytes + byte_size
         while occupied > self.capacity_bytes:
-            victim_id, (victim, row, _) = lru.popitem(last=False)
-            occupied -= self._entry_size[victim.res.item(row)]
-            moved = victim.swap_remove(row)
-            if moved is not None:
-                lru[moved][1] = row
+            victim_id, (victim, row, _, victim_code, _) = lru.popitem(last=False)
+            occupied -= self._entry_size[victim_code]
+            victim.swap_remove(row)
             evicted.append(victim_id)
         self.evictions += len(evicted)
         self.occupied_bytes = occupied
 
         entry_id = self._next_id
         self._next_id += 1
-        lru[entry_id] = [part, part.append(vec, entry_id, code), tick]
+        lru[entry_id] = record = [part, None, tick, code, entry_id]
+        part.append(vec, record)
         return entry_id, evicted
 
 

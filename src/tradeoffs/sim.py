@@ -346,17 +346,18 @@ def sweep(
     completion order. ``jobs`` > 1 shares the points among up to that
     many processes, this one and forked workers, where fork is available
     and the caller is neither daemonic nor running other threads; results
-    are identical either way. ``jobs`` below 1 is a ``ValueError``.
+    are identical either way. ``jobs`` below 1, NaN, infinite or
+    fractional is a ``ValueError``.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    if not 1 <= jobs < math.inf or jobs % 1:  # NaN fails the first test
+        raise ValueError("jobs must be at least 1, finite and whole")
     if not capacities:
         raise ValueError("capacities must be non-empty")
     caps = [_whole_bytes(c) for c in capacities]
     if len(set(caps)) != len(caps):
         raise ValueError("capacities must be distinct")
     caps.sort()
-    return fork_map(functools.partial(_sweep_point, trace, config), caps, jobs)
+    return fork_map(functools.partial(_sweep_point, trace, config), caps, int(jobs))
 
 
 def fit_curve(

@@ -283,8 +283,8 @@ def test_similarity_tie_prefers_most_recent():
     # Evicting x swap-removes its row, which moves e1 in front of e0.
     _, evicted = c.insert(unit(1), "720p")
     assert evicted == [x]
-    part = c._parts[0]
-    assert part.ids[:2].tolist() == [e1, e0]
+    rows = c._parts[0].entries[:2]
+    assert [record[4] for record in rows] == [e1, e0]
     assert c.lookup(v, "720p").matched_id == e1
     assert e0 in c.resident()
 
@@ -469,9 +469,9 @@ def test_multi_eviction_for_large_entry():
 
 
 def test_remembered_lru_rows_follow_hits_and_swap_removes():
-    # The recency index remembers each entry's row. A hit must move its
-    # entry to the back of the index, and a swap_remove that moves a row
-    # must update the row the index holds for the entry that moved.
+    # Each entry's record, which the recency index holds, remembers its
+    # row. A hit must move its entry to the back of the index, and a
+    # swap_remove that moves a row must update the row in that record.
     one_byte = dict.fromkeys(RESOLUTIONS, 1)
     c = CacheState(capacity_bytes=5, dim=8, stored_depths=(5,), latent_bytes=one_byte)
     ref = RefCache(5)
@@ -592,9 +592,13 @@ class CacheVersusReference(RuleBasedStateMachine):
     def same_residents(self):
         assert self.cache.occupied_bytes == self.ref.occupied()
         assert len(self.cache) == len(self.ref.entries)
-        # Each resident's recency, not only their order: the tie-break reads it.
-        got = {i: e.last_used for i, e in self.cache.resident().items()}
-        want = {e["id"]: e["last_used"] for e in self.ref.entries}
+        # Each resident's recency, not only their order: the tie-break reads
+        # it. Its resolution and size too, and its embedding, which is read
+        # from the row its record names: a swap-remove must keep that row.
+        got = {i: (e.last_used, e.embedding.tolist(), e.resolution, e.byte_size)
+               for i, e in self.cache.resident().items()}
+        want = {e["id"]: (e["last_used"], e["emb"], e["res"], e["size"])
+                for e in self.ref.entries}
         assert list(got) == sorted(want) and got == want
 
 

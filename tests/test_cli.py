@@ -53,6 +53,10 @@ def test_parse_bytes_suffixes():
     for bad in ("1GiB", "abc", "-1GB", "1e400GB", "1e300TB"):
         with pytest.raises(ValueError):
             parse_bytes(bad)
+    # The number's characters match but do not parse as a float.
+    for bad in ("1..2", "1eGB"):
+        with pytest.raises(ValueError, match="cannot parse byte count"):
+            parse_bytes(bad)
 
 
 def test_out_of_range_capacity_is_usage_error(tmp_path, capsys):

@@ -339,7 +339,7 @@ def test_replay_matches_the_reference_and_a_replay_of_plain_rows(
     assert replay(trace, config) == report
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP Direction 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP Direction 2")
 def test_replay_decides_ties_between_identical_rows_as_the_reference_does():
     # Without noise every request repeats one of 8 embeddings, so lookups
     # meet exact ties between identical entries, which the reference
@@ -426,14 +426,16 @@ def test_sweep_validation():
         sweep(trace, SimConfig(capacity_bytes=0), [E720, E720])
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, float("nan"), float("inf"), float("-inf"), 2.5])
 def test_sweep_rejects_jobs_below_one(jobs):
     trace = identical_trace(2)
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         sweep(trace, SimConfig(capacity_bytes=0), [E720], jobs=jobs)
-    # The default is one process.
-    assert sweep(trace, SimConfig(capacity_bytes=0), [E720]) == sweep(
-        trace, SimConfig(capacity_bytes=0), [E720], jobs=1)
+    # The default is one process, and a whole float is a count.
+    caps = [E720, 2 * E720]
+    assert sweep(trace, SimConfig(capacity_bytes=0), caps) == sweep(
+        trace, SimConfig(capacity_bytes=0), caps, jobs=1) == sweep(
+        trace, SimConfig(capacity_bytes=0), caps, jobs=2.0)
 
 
 def test_sweep_parallel_matches_sequential():
