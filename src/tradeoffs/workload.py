@@ -105,7 +105,8 @@ class Trace:
             if r not in RESOLUTIONS:
                 raise ValueError(f"unknown resolution {r!r}")
 
-        norms = np.linalg.norm(emb, axis=1)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            norms = np.linalg.norm(emb, axis=1)
         if not np.isfinite(norms).all():
             bad = int(np.argmin(np.isfinite(norms)))
             raise NonFiniteEmbedding(f"request {request_ids[bad]!r} has a non-finite norm")
@@ -216,12 +217,12 @@ def _share_count(values: int) -> int:
     return fork_workers() if values > _SPLIT_MIN_VALUES else 1
 
 
-def _numbered_lines(stream, start: int = 1):
-    """``enumerate(stream, start)``, raising :class:`ParseError` for text that
+def _numbered_lines(stream):
+    """``enumerate(stream, 1)``, raising :class:`ParseError` for text that
     does not decode. It has no line number: the decoder reads ahead in
     chunks, so the failing line is not the one being counted."""
     try:
-        yield from enumerate(stream, start)
+        yield from enumerate(stream, 1)
     except UnicodeDecodeError:
         raise ParseError(_NOT_UTF8) from None
 
@@ -284,26 +285,24 @@ def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callabl
 
 
 class _Records:
-    """The columns of parsed trace lines, each record with its line number.
+    """The columns of parsed trace lines.
 
     ``dim`` is the dimension every record must have, or None until a
     header or the first record fixes it. ``headers`` is False for a share
     of a file that does not start at its first byte, where a header is out
-    of place. ``lines`` is the number of the last line read.
+    of place.
     """
 
     def __init__(self, headers: bool = True):
         self.dim = None
         self.headers = headers
-        self.ts, self.ids, self.res, self.embs, self.linenos = [], [], [], [], []
-        self.lines = 0
+        self.ts, self.ids, self.res, self.embs = [], [], [], []
 
     def read(self, numbered_lines) -> None:
         """Parse ``(line number, line)`` pairs, raising on the first bad line."""
-        ts, ids, res, embs, linenos = self.ts, self.ids, self.res, self.embs, self.linenos
+        ts, ids, res, embs = self.ts, self.ids, self.res, self.embs
         dim = self.dim
         for lineno, line in numbered_lines:
-            self.lines = lineno
             if not line.strip():
                 continue
             try:
@@ -348,32 +347,29 @@ class _Records:
                     f"line {lineno}: embedding has {len(emb)} values, expected {dim}"
                 )
             try:
-                embs.append(np.array(emb, dtype=np.float64))
+                values = np.array(emb, dtype=np.float64)
             except OverflowError:  # an integer beyond float64 range
                 raise ParseError("emb values must be finite", line_number=lineno) from None
+            # A finite sum proves the values finite, and one that overflows falls through
+            # to the exact test; summed from 0.0, huge integers overflow to inf, not an int.
+            if not (math.isfinite(sum(emb, 0.0)) or np.isfinite(values).all()):
+                raise ParseError("emb values must be finite", line_number=lineno)
+            embs.append(values)
             ts.append(obj["ts"])
             ids.append(obj["id"])
             res.append(obj["res"])
-            linenos.append(lineno)
 
     def extend(self, other: _Records) -> None:
-        """Append the records of ``other``, whose lines follow this one's."""
+        """Append the records of ``other``, read after this one's."""
         self.ts += other.ts
         self.ids += other.ids
         self.res += other.res
         self.embs += other.embs
-        self.linenos += [self.lines + n for n in other.linenos]
-        self.lines += other.lines
         self.dim = self.dim or other.dim
 
     def trace(self) -> Trace:
-        """The trace of the records; a non-finite value is a
-        :class:`ParseError` on the line of the first record that holds one."""
+        """The trace of the records."""
         embs = np.vstack(self.embs) if self.embs else np.zeros((0, self.dim or DEFAULT_DIM))
-        finite = np.isfinite(embs).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ParseError("emb values must be finite", line_number=self.linenos[bad])
         return Trace(self.ts, self.ids, self.res, embs)
 
 
@@ -392,23 +388,24 @@ class _ByteRange(io.RawIOBase):
         return n
 
 
-def _read_range(records: _Records, path, start: int, stop: int) -> _Records:
-    """Parse bytes ``[start, stop)`` of a trace file into ``records``,
-    numbering their lines on from the last line ``records`` read."""
+def _read_range(path, start: int, stop: int) -> _Records:
+    """The records of bytes ``[start, stop)`` of a trace file, lines numbered
+    from 1; from 0 to the file's size, this is one pass over the file."""
+    records = _Records(headers=start == 0)
     with open(path, "rb", buffering=0) as raw:
         raw.seek(start)
         # The decoding and universal newlines of open(path, "r", encoding="utf-8").
         lines = io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, stop - start)), encoding="utf-8")
-        records.read(_numbered_lines(lines, records.lines + 1))
+        records.read(_numbered_lines(lines))
     return records
 
 
 def _read_share(path, share: tuple[int, int]) -> _Records | None:
-    """A share's records, its lines numbered from 1 and its width its own,
-    or None if a later share holds an error (``_parse_file`` raises it).
-    The first share is parsed as one pass parses it, so it raises its own."""
+    """A share's records, their width its own, or None if a later share
+    holds an error (``_parse_file`` then parses the file in one pass).
+    The first share raises its own error, where it finds it."""
     try:
-        records = _read_range(_Records(headers=share[0] == 0), path, *share)
+        records = _read_range(path, *share)
     except TradeoffError:
         if share[0] == 0:
             raise
@@ -421,13 +418,13 @@ def _parse_file(path) -> Trace:
     """``load_trace`` of a regular file, parsed in shares.
 
     The file is cut after a newline into one share per worker, and each
-    worker parses its share on its own (``_read_share``); the first
-    share raises its own error. Here the shares' records are joined in
-    file order. A later share with an error, or whose records have
-    another width than the width fixed so far, is parsed again here
-    after the records before it: that raises its first error, or reads
-    it, as one pass over the file does (a header after a first share of
-    blank lines).
+    worker parses its share on its own (``_read_share``). The first
+    share raises its own error, which is one pass's error unless text
+    that does not decode lies just past its end (the pass's decoder
+    reads ahead). The shares' records are joined here in file order. If
+    a later share holds an error, or its records have another width than
+    the width fixed so far, the file is parsed in one pass instead, and
+    what that pass returns or raises is the result.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -440,11 +437,10 @@ def _parse_file(path) -> Trace:
         cuts.append(size)
     shares = [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
     records = _Records()
-    for (a, b), part in zip(shares, fork_map(functools.partial(_read_share, path), shares, ways)):
+    for part in fork_map(functools.partial(_read_share, path), shares, ways):
         if part is None or records.dim and part.dim not in (None, records.dim):
-            _read_range(records, path, a, b)
-        else:
-            records.extend(part)
+            return _read_range(path, 0, size).trace()
+        records.extend(part)
     return records.trace()
 
 
@@ -554,15 +550,15 @@ def load_trace(source: str | os.PathLike | IO) -> Trace:
 
     The input is read one line at a time; a large regular file is read
     in one share per CPU, in forked workers (see ``_parse_file``), with
-    the same result and the same errors. A regular file with a
-    ``save_trace`` sidecar beside it is hashed (the trace's
-    ``source_sha256``) on a thread while the sidecar is read; if the
-    sidecar was saved for exactly those bytes, the trace is built from
-    it instead, through the same checks, and equals the parse. The
-    thread ends before anything else happens, so a parse may still fork.
-    A file without a sidecar is parsed, not hashed.
-    Raises :class:`ParseError` with the 1-based line number for
-    malformed lines (NaN, infinite and out-of-range embedding values
+    the same result and, but for one case at the first cut, the same
+    errors. A regular file with a ``save_trace`` sidecar beside it is
+    hashed (the trace's ``source_sha256``) on a thread while the sidecar
+    is read; if the sidecar was saved for exactly those bytes, the trace
+    is built from it instead, through the same checks, and equals the
+    parse. The thread ends before anything else happens, so a parse may
+    still fork. A file without a sidecar is parsed, not hashed.
+    Raises :class:`ParseError` with the 1-based line number of the first
+    malformed line (NaN, infinite and out-of-range embedding values
     included; text that is not UTF-8 has a line number only in a byte
     stream), :class:`DimensionMismatch` for an embedding, or a second
     header, whose width differs from the header's or first record's, and

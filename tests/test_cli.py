@@ -599,6 +599,17 @@ def test_the_exit_without_teardown_keeps_codes_and_bytes(tmp_path, argv, code):
     assert (fast[1] or fast[3]) if code == 0 else fast[2]  # something to compare
 
 
+def test_a_norm_that_overflows_is_one_json_error_line(tmp_path):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text('{"ts":0,"id":"x","res":"720p","emb":[1e200, 1.0]}\n')
+    code, out, err, _ = _launch(tmp_path / "run", ["-m", "tradeoffs"],
+                                ["replay", "--capacity", "1GB", "--trace", str(trace_path)])
+    assert (code, out) == (1, b"")
+    line, = err.decode().splitlines()  # no numpy warning ahead of it
+    assert json.loads(line) == {"error": "NonFiniteEmbedding",
+                                "message": "request 'x' has a non-finite norm"}
+
+
 _PRINT_IMPORTS = (
     "import sys; from tradeoffs.cli import main; code = main(); "
     "print(code, *(m in sys.modules for m in "

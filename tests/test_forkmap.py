@@ -32,6 +32,13 @@ def _run_in_child(fn, timeout=120):
     return result
 
 
+@pytest.mark.parametrize("cpus, usable", [(5, 5), (None, 1)])
+def test_usable_cpus_without_affinity_are_the_cpu_count(monkeypatch, cpus, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert forkmap._usable_cpus() == usable
+
+
 def _pid_after(i):
     time.sleep(0.002 * (i % 5))
     return i * i, os.getpid()

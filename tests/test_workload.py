@@ -211,6 +211,24 @@ def test_huge_integer_embedding_fails_on_its_own_line():
         _load(text)
 
 
+def _nan_then_bad_json(before=0):
+    """A record, ``before`` more, a record holding NaN, one more record, and
+    a line of truncated JSON: the NaN is the first bad line."""
+    good = ['{"ts":%d,"id":"r%d","res":"720p","emb":[0.6,0.8]}' % (i, i) for i in range(before + 2)]
+    nan = '{"ts":0,"id":"x","res":"720p","emb":[NaN,0.0]}'
+    return "\n".join([*good[:-1], nan, good[-1], '{"ts":9,"id":"y","res":"720p","emb":[1.0,']) + "\n"
+
+
+@pytest.mark.parametrize("source", ["stream", "path"])
+def test_a_non_finite_value_is_reported_before_a_later_malformed_line(tmp_path, source):
+    text = _nan_then_bad_json()
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="^line 2: emb values must be finite$") as exc:
+        load_trace(io.StringIO(text) if source == "stream" else path)
+    assert exc.value.line_number == 2
+
+
 def test_non_utf8_trace_is_parse_error(tmp_path):
     data = (b'{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
             b'{"ts":1,"id":"\xff","res":"720p","emb":[0,1]}\n')
@@ -227,6 +245,17 @@ def test_trace_rejects_non_finite_embedding():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonFiniteEmbedding, match="'y'"):
             Trace([0, 1], ["x", "y"], ["720p", "720p"], [[1.0, 0.0], [bad, 1.0]])
+
+
+def test_a_norm_that_overflows_is_non_finite_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEmbedding, match="request 'y' has a non-finite norm"):
+            Trace([0, 1], ["x", "y"], ["720p", "720p"], [[1.0, 0.0], [1e200, 1.0]])
+        # Every value is finite, so the parse keeps the line and Trace rejects its norm.
+        for emb in ("1e200,1.0", "%d,%d" % (10**308, 10**308)):
+            with pytest.raises(NonFiniteEmbedding, match="request 'x' has a non-finite norm"):
+                _load('{"ts":0,"id":"x","res":"720p","emb":[%s]}\n' % emb)
 
 
 def test_blank_lines_ignored():
@@ -462,6 +491,36 @@ def test_a_later_share_of_another_width_than_the_header_is_a_mismatch(tmp_path, 
     assert serial[:2] == (DimensionMismatch, "line 3002: embedding has 3 values, expected 2")
     assert _error_of(lambda: load_trace(path))[:2] == serial[:2]
     assert split_io == [3]
+
+
+@pytest.mark.parametrize("before", [0, 90])  # the NaN in the first share, or in the last
+def test_a_non_finite_value_in_shares_is_reported_before_a_later_malformed_line(
+        tmp_path, split_io, before):
+    text = _nan_then_bad_json(before)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    cuts = [text.index("\n", len(text) * i // 3) + 1 for i in (1, 2)]  # where _parse_file cuts
+    assert text.index("NaN") > cuts[1] if before else text.index("NaN") < cuts[0]
+    message = f"line {before + 2}: emb values must be finite"
+    assert _error_of(lambda: _load(text))[:2] == (ParseError, message)
+    assert _error_of(lambda: load_trace(path))[:2] == (ParseError, message)
+    assert split_io == [3]
+
+
+def test_non_utf8_past_a_later_cut_is_the_error_of_one_pass(tmp_path, split_io):
+    # Bad JSON just before the second cut and a byte that does not decode
+    # just after it: one pass decodes both in one chunk, so the byte fails
+    # first, and the forked parse reports the same.
+    data = bytearray(serialize_trace(_mixed_trace(3000, 64, seed=1)).encode("utf-8"))
+    cut = data.index(b"\n", len(data) * 2 // 3) + 1  # where _parse_file cuts second
+    data[cut - 3], data[cut + 5] = ord("}"), 0xFF
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(bytes(data))
+    with open(path, encoding="utf-8") as stream:  # read in this process alone
+        serial = _error_of(lambda: load_trace(stream))
+    assert serial[:2] == (ParseError, "not valid UTF-8")
+    assert _error_of(lambda: load_trace(path))[:2] == serial[:2]
+    assert split_io[1:] == [3]  # after the serialize
 
 
 def test_non_utf8_in_a_later_share_is_parse_error(tmp_path, split_io):
@@ -902,6 +961,33 @@ def test_generator_rejects_noise_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="noise_sigma is too large"):
             generate_trace(cfg)
+
+
+class _ConstantDraws:
+    """A stand-in for numpy's Generator: every center value is ``center``,
+    every noise value ``noise``, and every request draws cluster 0."""
+
+    def __init__(self, center, noise):
+        self.center, self.noise = center, noise
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.center)
+
+    def normal(self, loc, scale, size):
+        return np.full(size, self.noise)
+
+    def choice(self, k, size, p):
+        return np.zeros(size, dtype=np.int64)
+
+
+@pytest.mark.parametrize("center, noise, message", [
+    (0.0, 0.0, "degenerate cluster center draw"),
+    (1.0, -0.5, "degenerate noise draw"),  # a center of dim 4 is 0.5 in each value
+])
+def test_degenerate_draws_are_zero_norm_errors(monkeypatch, center, noise, message):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ConstantDraws(center, noise))
+    with pytest.raises(ZeroNormEmbedding, match=message):
+        generate_trace(GeneratorConfig(num_requests=5, num_clusters=2, dimension=4))
 
 
 @pytest.mark.parametrize("seed", [float("nan"), float("inf"), 2.5, -1, -3.0, "3", None, [1, 2]])
