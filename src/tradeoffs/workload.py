@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import math
 import numbers
@@ -32,7 +31,7 @@ import threading
 import zipfile
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -191,11 +190,11 @@ class GeneratorConfig:
         object.__setattr__(self, "resolution_mix", mix)
 
 
-def _open_text(source):
+def _opened(source):
     """A context manager over ``source``: a path is opened for reading as
-    UTF-8 text and closed on exit; a stream is used as is and left open."""
+    bytes and closed on exit; a stream is used as is and left open."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, encoding="utf-8")
+        return open(source, "rb")
     return contextlib.nullcontext(source)
 
 
@@ -217,13 +216,28 @@ def _share_count(values: int) -> int:
     return fork_workers() if values > _SPLIT_MIN_VALUES else 1
 
 
-def _numbered_lines(stream):
-    """``enumerate(stream, 1)``, raising :class:`ParseError` for text that
-    does not decode. It has no line number: the decoder reads ahead in
-    chunks, so the failing line is not the one being counted."""
+def _lines(stream, size: float = math.inf) -> Iterator[tuple[int, str]]:
+    """The lines of ``stream`` as text, numbered from 1; of a binary
+    stream, only those in its next ``size`` bytes. Bytes are split where
+    universal newlines split text (no UTF-8 sequence holds a CR or LF
+    byte), and each line is decoded as strict UTF-8 on its own: one that
+    does not decode is a :class:`ParseError` on its line. A text stream
+    decodes itself, reading ahead, so its decode error names no line."""
+    lineno = 0
     try:
-        yield from enumerate(stream, 1)
-    except UnicodeDecodeError:
+        for chunk in stream:
+            # Most lines hold no CR, and splitlines would copy them.
+            lines = chunk.splitlines() if isinstance(chunk, bytes) and b"\r" in chunk else (chunk,)
+            for line in lines:
+                lineno += 1
+                try:
+                    yield lineno, line if isinstance(line, str) else line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError(_NOT_UTF8, line_number=lineno) from None
+            size -= len(chunk)
+            if size <= 0:
+                return
+    except UnicodeDecodeError:  # from a text stream's decoder
         raise ParseError(_NOT_UTF8) from None
 
 
@@ -252,15 +266,16 @@ def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callabl
     """``record(*values)`` for each row of a CSV of finite numbers under
     the exact line ``header``.
 
-    Blank lines are skipped. Raises :class:`ParseError` with the 1-based
-    physical line number for a missing or wrong header, a row whose
+    Lines are read as ``_lines`` reads them, and blank ones are skipped.
+    Raises :class:`ParseError` with the 1-based physical line number for
+    a line that is not UTF-8, a missing or wrong header, a row whose
     column count differs from the header's, a value that is not a
     finite number, or a row that ``record`` rejects with ``ValueError``.
     """
     width = header.count(",") + 1
     records = []
-    with _open_text(source) as stream:
-        lines = ((n, ln.strip()) for n, ln in _numbered_lines(stream) if ln.strip())
+    with _opened(source) as stream:
+        lines = ((n, ln.strip()) for n, ln in _lines(stream) if ln.strip())
         lineno, first = next(lines, (1, ""))
         if first != header:
             raise ParseError(f"expected header {header!r}", line_number=lineno)
@@ -299,7 +314,7 @@ class _Records:
         self.ts, self.ids, self.res, self.embs = [], [], [], []
 
     def read(self, numbered_lines) -> None:
-        """Parse ``(line number, line)`` pairs, raising on the first bad line."""
+        """Parse ``(line number, text)`` pairs, raising on the first bad line."""
         ts, ids, res, embs = self.ts, self.ids, self.res, self.embs
         dim = self.dim
         for lineno, line in numbered_lines:
@@ -311,8 +326,6 @@ class _Records:
                 raise ParseError(f"invalid JSON: {e.msg}", line_number=lineno) from None
             except RecursionError:
                 raise ParseError("invalid JSON: nested too deeply", line_number=lineno) from None
-            except UnicodeDecodeError:  # a byte stream's line
-                raise ParseError(_NOT_UTF8, line_number=lineno) from None
             if not isinstance(obj, dict):
                 raise ParseError("record must be a JSON object", line_number=lineno)
             if "dim" in obj and "ts" not in obj:
@@ -373,30 +386,14 @@ class _Records:
         return Trace(self.ts, self.ids, self.res, embs)
 
 
-class _ByteRange(io.RawIOBase):
-    """The next ``size`` bytes of an unbuffered binary file."""
-
-    def __init__(self, raw: io.RawIOBase, size: int):
-        self._raw, self._left = raw, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._raw.readinto(memoryview(buf)[: self._left])
-        self._left -= n
-        return n
-
-
 def _read_range(path, start: int, stop: int) -> _Records:
-    """The records of bytes ``[start, stop)`` of a trace file, lines numbered
-    from 1; from 0 to the file's size, this is one pass over the file."""
+    """The records of bytes ``[start, stop)`` of a trace file, a run of
+    whole lines, numbered from 1; from 0 to the file's size, this is one
+    pass over the file."""
     records = _Records(headers=start == 0)
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        # The decoding and universal newlines of open(path, "r", encoding="utf-8").
-        lines = io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, stop - start)), encoding="utf-8")
-        records.read(_numbered_lines(lines))
+    with open(path, "rb") as f:
+        f.seek(start)
+        records.read(_lines(f, stop - start))
     return records
 
 
@@ -419,12 +416,12 @@ def _parse_file(path) -> Trace:
 
     The file is cut after a newline into one share per worker, and each
     worker parses its share on its own (``_read_share``). The first
-    share raises its own error, which is one pass's error unless text
-    that does not decode lies just past its end (the pass's decoder
-    reads ahead). The shares' records are joined here in file order. If
-    a later share holds an error, or its records have another width than
-    the width fixed so far, the file is parsed in one pass instead, and
-    what that pass returns or raises is the result.
+    share raises its own error, which is one pass's error: each line is
+    decoded and checked on its own, so what a line raises depends on the
+    lines up to it alone. The shares' records are joined here in file
+    order. If a later share holds an error, or its records have another
+    width than the width fixed so far, the file is parsed in one pass
+    instead, and what that pass returns or raises is the result.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -548,21 +545,23 @@ class _Hashing(threading.Thread):
 def load_trace(source: str | os.PathLike | IO) -> Trace:
     """Parse a JSON-lines trace from a path, text stream, or byte stream.
 
-    The input is read one line at a time; a large regular file is read
-    in one share per CPU, in forked workers (see ``_parse_file``), with
-    the same result and, but for one case at the first cut, the same
-    errors. A regular file with a ``save_trace`` sidecar beside it is
+    The input is read one line at a time. A path, a pipe included, and a
+    byte stream are split into lines where universal newlines split text,
+    and each line is decoded as strict UTF-8 on its own; a text stream
+    decodes itself. A large regular file is read in one share per CPU, in
+    forked workers (see ``_parse_file``), with the same result and the
+    same errors. A regular file with a ``save_trace`` sidecar beside it is
     hashed (the trace's ``source_sha256``) on a thread while the sidecar
     is read; if the sidecar was saved for exactly those bytes, the trace
     is built from it instead, through the same checks, and equals the
     parse. The thread ends before anything else happens, so a parse may
     still fork. A file without a sidecar is parsed, not hashed.
     Raises :class:`ParseError` with the 1-based line number of the first
-    malformed line (NaN, infinite and out-of-range embedding values
-    included; text that is not UTF-8 has a line number only in a byte
-    stream), :class:`DimensionMismatch` for an embedding, or a second
-    header, whose width differs from the header's or first record's, and
-    :class:`ZeroNormEmbedding` for zero vectors.
+    malformed line (NaN, infinite and out-of-range embedding values and
+    text that is not UTF-8 included; a text stream's decode error has no
+    line number), :class:`DimensionMismatch` for an embedding, or a
+    second header, whose width differs from the header's or first
+    record's, and :class:`ZeroNormEmbedding` for zero vectors.
     """
     if isinstance(source, (str, os.PathLike)) and os.path.isfile(source):
         if not os.path.exists(os.fspath(source) + _SIDECAR_SUFFIX):
@@ -582,8 +581,8 @@ def load_trace(source: str | os.PathLike | IO) -> Trace:
         trace.source_sha256 = digest
         return trace
     records = _Records()
-    with _open_text(source) as stream:
-        records.read(_numbered_lines(stream))
+    with _opened(source) as stream:
+        records.read(_lines(stream))
     return records.trace()
 
 

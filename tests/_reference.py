@@ -82,22 +82,25 @@ def ref_replay(requests, capacity_bytes, entry_size, bands=DEPTH_BANDS,
                same_res=True, insert_on_hit=False):
     """Replay (embedding, resolution) pairs; returns per-request tuples.
 
-    Each tuple is (outcome, depth, matched_id, evicted_ids). Entries
-    that alone exceed capacity give outcome "too_large" with no insert.
+    ``entry_size`` is the size of every entry, or a dict of sizes by
+    resolution. Each tuple is (outcome, depth, matched_id, evicted_ids).
+    Entries that alone exceed capacity give outcome "too_large" with no
+    insert.
     """
     cache = RefCache(capacity_bytes, bands, same_res)
     out = []
     for emb, res in requests:
+        size = entry_size[res] if isinstance(entry_size, dict) else entry_size
         looked = cache.lookup(emb, res)
         evicted = []
         outcome = looked["outcome"]
         if outcome == "hit":
             if insert_on_hit:
-                ev = cache.insert(emb, res, entry_size)
+                ev = cache.insert(emb, res, size)
                 if ev is not None:
                     evicted = ev
         else:
-            ev = cache.insert(emb, res, entry_size)
+            ev = cache.insert(emb, res, size)
             if ev is None:
                 outcome = "too_large"
             else:

@@ -226,7 +226,7 @@ def test_non_utf8_trace_is_domain_error(tmp_path, capsys):
                          "--capacity", "1GB")
     assert code == 1 and out == ""
     doc = json.loads(err)
-    assert doc == {"error": "ParseError", "message": "not valid UTF-8"}
+    assert doc == {"error": "ParseError", "message": "line 2: not valid UTF-8"}
 
 
 def test_bad_flag_value_is_usage_error(capsys):

@@ -339,6 +339,28 @@ def test_replay_matches_the_reference_and_a_replay_of_plain_rows(
     assert replay(trace, config) == report
 
 
+@pytest.mark.parametrize("insert_on_hit", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_replay_of_the_default_entry_sizes_matches_the_reference(insert_on_hit, seed):
+    trace = three_res_trace(seed)
+    default = SimConfig(capacity_bytes=0, insert_on_hit=insert_on_hit)
+    sizes = {res: len(default.stored_depths) * default.latent_bytes_by_resolution[res]
+             for res in RESOLUTIONS}
+    assert sizes == {"720p": E720, "1080p": 200_000_000, "2k": 350_000_000}
+    rows = [(normalize(row).tolist(), res) for row, res in zip(trace.embeddings, trace.resolutions)]
+    outcomes = set()
+    for capacity in (300_000_000, 700_000_000, 1_200_000_000, 2_500_000_000):  # below a 2k entry first
+        report = replay(trace, default.with_capacity(capacity))
+        got = [(r.outcome, r.depth, r.matched_id if r.outcome == "hit" else None, r.evicted)
+               for r in report.per_request]
+        want = [(o, d, m if o == "hit" else None, ev) for o, d, m, ev in ref_replay(
+            rows, capacity, sizes, insert_on_hit=insert_on_hit)]
+        assert got == want
+        outcomes |= {r.outcome for r in report.per_request}
+        assert any(len(r.evicted) > 1 for r in report.per_request)  # a large entry's victims
+    assert outcomes == {"hit", "miss", "too_large"}
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP Direction 2")
 def test_replay_decides_ties_between_identical_rows_as_the_reference_does():
     # Without noise every request repeats one of 8 embeddings, so lookups

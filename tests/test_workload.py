@@ -25,6 +25,7 @@ from tradeoffs import (
     ZeroNormEmbedding,
     generate_trace,
     load_trace,
+    read_curve_csv,
     save_trace,
     serialize_trace,
 )
@@ -232,13 +233,53 @@ def test_a_non_finite_value_is_reported_before_a_later_malformed_line(tmp_path, 
 def test_non_utf8_trace_is_parse_error(tmp_path):
     data = (b'{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
             b'{"ts":1,"id":"\xff","res":"720p","emb":[0,1]}\n')
-    with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
+    with pytest.raises(ParseError, match="^line 2: not valid UTF-8$"):
         load_trace(io.BytesIO(data))
     path = tmp_path / "t.jsonl"
     path.write_bytes(data)
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ParseError, match="^line 2: not valid UTF-8$") as exc:
         load_trace(path)
-    assert exc.value.line_number is None  # the text decoder reads ahead
+    assert exc.value.line_number == 2  # each line is decoded on its own
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["0xff", "surrogate"])
+@pytest.mark.parametrize("source", ["byte stream", "file", "pipe", "curve csv"])
+def test_text_that_is_not_utf8_is_an_error_on_its_line_in_every_input(
+        tmp_path, request, source, bad):
+    # b"\xed\xa0\x80" would decode, with "surrogatepass", to a lone surrogate.
+    if source == "curve csv":
+        data = b"capacity_gb,hit_rate,saved_flops,expected_cost_flops\n\n0.5,0.5,1,1\n1,0.%s5,1,1\n"
+    else:
+        data = (b'{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n\n'
+                b'{"ts":1,"id":"a","res":"720p","emb":[0,1]}\n'
+                b'{"ts":2,"id":"%s","res":"720p","emb":[0,1]}\n')
+    data = data.replace(b"%s", bad)
+    arg = tmp_path / "input"
+    arg.write_bytes(data)
+    if source == "byte stream":
+        arg = io.BytesIO(data)
+    elif source == "pipe":
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd")
+        read, write = os.pipe()
+        os.write(write, data)  # smaller than a pipe's buffer
+        os.close(write)
+        request.addfinalizer(lambda: os.close(read))
+        arg = f"/dev/fd/{read}"
+    load = read_curve_csv if source == "curve csv" else load_trace
+    with pytest.raises(ParseError, match="^line 4: not valid UTF-8$") as exc:
+        load(arg)
+    assert exc.value.line_number == 4
+
+
+def test_a_byte_order_mark_is_bad_json_in_a_byte_stream_as_in_a_file(tmp_path):
+    # json.loads of bytes would detect the mark and skip it.
+    data = b'\xef\xbb\xbf{"ts":0,"id":"x","res":"720p","emb":[1,0]}\n'
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    for source in (io.BytesIO(data), path):
+        with pytest.raises(ParseError, match="^line 1: invalid JSON: Unexpected UTF-8 BOM"):
+            load_trace(source)
 
 
 def test_trace_rejects_non_finite_embedding():
@@ -509,16 +550,16 @@ def test_a_non_finite_value_in_shares_is_reported_before_a_later_malformed_line(
 
 def test_non_utf8_past_a_later_cut_is_the_error_of_one_pass(tmp_path, split_io):
     # Bad JSON just before the second cut and a byte that does not decode
-    # just after it: one pass decodes both in one chunk, so the byte fails
-    # first, and the forked parse reports the same.
+    # just after it: each line is decoded on its own, so the bad JSON fails
+    # first, in one pass over the bytes and in the forked parse alike.
     data = bytearray(serialize_trace(_mixed_trace(3000, 64, seed=1)).encode("utf-8"))
     cut = data.index(b"\n", len(data) * 2 // 3) + 1  # where _parse_file cuts second
     data[cut - 3], data[cut + 5] = ord("}"), 0xFF
     path = tmp_path / "t.jsonl"
     path.write_bytes(bytes(data))
-    with open(path, encoding="utf-8") as stream:  # read in this process alone
-        serial = _error_of(lambda: load_trace(stream))
-    assert serial[:2] == (ParseError, "not valid UTF-8")
+    serial = _error_of(lambda: load_trace(io.BytesIO(data)))  # read in this process alone
+    lineno = data[:cut].count(b"\n")  # the line that ends at the cut
+    assert serial[0] == ParseError and serial[1].startswith(f"line {lineno}: invalid JSON")
     assert _error_of(lambda: load_trace(path))[:2] == serial[:2]
     assert split_io[1:] == [3]  # after the serialize
 
@@ -528,8 +569,59 @@ def test_non_utf8_in_a_later_share_is_parse_error(tmp_path, split_io):
     path = tmp_path / "t.jsonl"
     path.write_bytes(text.encode("utf-8").replace(b"@", b"\xff"))
     _, message, error = _error_of(lambda: load_trace(path))
-    assert message == "not valid UTF-8" and error.line_number is None
+    assert message == "line 92: not valid UTF-8" and error.line_number == 92
     assert split_io == [3]
+
+
+def _spoiled(line, kind):
+    """A trace record's ``line`` (with its newline) made bad in one way, at
+    the same length, so that a file's cuts stay where they were."""
+    if kind == "bad JSON":
+        return line[:-3] + b"}" + line[-2:]  # ...]}\n becomes ...}}\n
+    if kind == "0xff":
+        return line[:5] + b"\xff" + line[6:]
+    if kind == "NaN":  # the first value
+        at = line.index(b"[") + 1
+        end = line.index(b",", at)
+        return line[:at] + b"NaN".ljust(end - at) + line[end:]
+    at, end = line.rindex(b","), line.rindex(b"]")  # the last value dropped
+    return line[:at] + b" " * (end - at) + line[end:]
+
+
+SPOILS = ["bad JSON", "0xff", "NaN", "wrong width"]
+
+
+@pytest.mark.parametrize("first", SPOILS)
+def test_bad_lines_at_the_cuts_give_the_error_of_one_pass(tmp_path, monkeypatch, split_io, first):
+    # Each kind of bad line, and each pair of them, on the lines just before
+    # and just after either cut. The forked parse, one pass over the file
+    # and a byte stream of its bytes all raise the error of the first bad line.
+    lines = serialize_trace(_mixed_trace(300, 16, seed=1)).encode("utf-8").splitlines(True)
+    data = b"".join(lines)
+    cuts = [data.index(b"\n", len(data) * i // 3) + 1 for i in (1, 2)]  # where _parse_file cuts
+    ends = [data[:cut].count(b"\n") for cut in cuts]  # the numbers of the lines ending at the cuts
+    spots = [i for n in ends for i in (n - 1, n)]  # the indices of the lines either side of each cut
+    path = tmp_path / "t.jsonl"
+
+    def one_pass():
+        with monkeypatch.context() as m:
+            m.setattr(workload, "_share_count", lambda values: 1)
+            return load_trace(path)
+
+    cases = [{spot: first} for spot in spots] + [
+        {a: first, b: second} for a in spots for b in spots if a < b for second in SPOILS]
+    for case in cases:
+        bad = lines.copy()
+        for spot, kind in case.items():
+            bad[spot] = _spoiled(lines[spot], kind)
+        data = b"".join(bad)
+        path.write_bytes(data)
+        want = _error_of(lambda: load_trace(io.BytesIO(data)))
+        assert want[1].startswith(f"line {min(case) + 1}: ")  # the first bad line's error
+        for got in (_error_of(lambda: load_trace(path)), _error_of(one_pass)):
+            assert got[:2] == want[:2]
+            assert getattr(got[2], "line_number", None) == getattr(want[2], "line_number", None)
+    assert split_io == [3] + [3, 1] * len(cases)  # the serialize, then each forked load
 
 
 # ---------------------------------------------------------------------------
