@@ -28,6 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EntryTooLarge, NonFiniteEmbedding, ZeroNormEmbedding
+from .errors import _number, _size
 
 __all__ = [
     "RESOLUTIONS",
@@ -122,22 +123,14 @@ def _checked_rows(matrix: np.ndarray) -> list:
 
 
 def _whole_bytes(capacity_bytes) -> int:
-    """``int(capacity_bytes)``, checked first: NaN, infinite or negative
-    capacities are a ``ValueError``."""
-    if not 0 <= capacity_bytes < math.inf:
-        raise ValueError("capacity_bytes must be nonnegative and finite")
-    return int(capacity_bytes)
+    """``int(capacity_bytes)`` of a capacity ``_number`` takes as nonnegative."""
+    return int(_number(capacity_bytes, "capacity_bytes", 0))
 
 
 def _entry_sizes(stored_depths, latent_bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sorted depths and each entry size in whole bytes, indexed by resolution
-    code: the one check of ``SimConfig``'s and ``CacheState``'s geometry.
-    Written so that NaN fails each check."""
-    if not all(1 <= d < math.inf for d in stored_depths):
-        raise ValueError("stored depths must be at least 1 and finite")
-    if any(d % 1 for d in stored_depths):
-        raise ValueError("stored depths must be whole")
-    depths = tuple(sorted(int(d) for d in stored_depths))
+    code: the one check of ``SimConfig``'s and ``CacheState``'s geometry."""
+    depths = tuple(sorted(int(_number(d, "stored depths", 1, whole=True)) for d in stored_depths))
     if not depths:
         raise ValueError("stored_depths must be non-empty")
     if len(set(depths)) != len(depths):
@@ -146,8 +139,7 @@ def _entry_sizes(stored_depths, latent_bytes) -> tuple[tuple[int, ...], tuple[in
     if missing:
         raise ValueError(f"latent_bytes lacks {', '.join(missing)}")
     for res, b in latent_bytes.items():
-        if not 1 <= b < math.inf:
-            raise ValueError(f"latent size for {res} must be positive and finite, >= 1 byte")
+        _number(b, f"latent size for {res}", 1, rule="positive and finite, >= 1 byte")
     return depths, tuple(len(depths) * int(latent_bytes[res]) for res in RESOLUTIONS)
 
 
@@ -163,11 +155,10 @@ class ReuseDepthPolicy:
     bands: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        if not all(-math.inf < x < math.inf for band in self.bands for x in band):  # NaN fails
-            raise ValueError("band bounds and depths must be finite")
-        if any(d % 1 for _, d in self.bands):
-            raise ValueError("band depths must be whole")
-        bands = tuple((float(t), int(d)) for t, d in self.bands)
+        for band in self.bands:
+            for x in band:
+                _number(x, "band bounds and depths")
+        bands = tuple((float(t), int(_number(d, "band depths", whole=True))) for t, d in self.bands)
         if not bands:
             raise ValueError("at least one band is required")
         bounds = [t for t, _ in bands]
@@ -285,11 +276,7 @@ class CacheState:
         latent_bytes: Mapping[str, int] = DEFAULT_LATENT_BYTES,
     ):
         self.capacity_bytes = _whole_bytes(capacity_bytes)
-        if not 1 <= dim < math.inf:
-            raise ValueError("dim must be at least 1 and finite")
-        if dim % 1:
-            raise ValueError("dim must be whole")
-        self.dim = int(dim)
+        self.dim = int(_size(dim, "dim", 1))
         self.policy = policy
         self.stored_depths, self._entry_size = _entry_sizes(stored_depths, latent_bytes)
         self.tick = 0

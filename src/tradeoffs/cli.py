@@ -7,8 +7,8 @@ subcommand, resolved parameters, input digests, and versions, so a run
 can be audited and reproduced byte-for-byte.
 
 Exit codes: 0 success; 1 domain error (infeasible target, degenerate
-fit input, unreadable file) with a machine-readable JSON object on
-stderr; 2 usage error.
+fit input, unreadable file, an array too large to allocate) with a
+machine-readable JSON object on stderr; 2 usage error.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def parse_bytes(text: str) -> int:
     if value < 0:
         raise ValueError("byte count must be nonnegative")
     nbytes = value * _BYTES_SUFFIX[suffix]
-    if not nbytes < math.inf:
+    if not math.isfinite(nbytes):
         raise ValueError(f"byte count {text!r} is out of range")
     return int(round(nbytes))
 
@@ -99,9 +99,11 @@ def _write_manifest(
     parameters: dict,
     inputs: dict[str, str],
     seed: int | None = None,
+    outputs: dict[str, str | None] | None = None,
 ) -> None:
     """Write ``<out_path>.manifest.json``; ``inputs`` maps each input
-    path to the SHA-256 of the bytes the command read from it."""
+    path to the SHA-256 of the bytes the command read from it, and
+    ``outputs``, if given, each output path to that of the bytes written."""
     doc = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -110,6 +112,8 @@ def _write_manifest(
         "tool_version": __version__,
         "numpy_version": np.__version__,
     }
+    if outputs is not None:
+        doc["outputs"] = outputs
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
@@ -345,7 +349,7 @@ def _cmd_gen(args) -> int:
         seed=seed,
     )
     trace = generate_trace(config)
-    save_trace(trace, args.out)
+    digest = save_trace(trace, args.out)
     _write_manifest(
         args.out,
         "gen",
@@ -360,6 +364,7 @@ def _cmd_gen(args) -> int:
         },
         inputs={},
         seed=seed,
+        outputs={args.out: digest},
     )
     _emit({"out": args.out, "requests": len(trace), "dimension": trace.dimension, "seed": seed})
     return 0
@@ -434,19 +439,23 @@ _HANDLERS = {
 }
 
 
+def _domain_error(error: str, e: Exception) -> int:
+    json.dump({"error": error, "message": str(e)}, sys.stderr)
+    sys.stderr.write("\n")
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except TradeoffError as e:
-        json.dump({"error": type(e).__name__, "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return _domain_error(type(e).__name__, e)
     except OSError as e:
-        json.dump({"error": "IOError", "message": str(e)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return _domain_error("IOError", e)
+    except MemoryError as e:  # numpy's subclass included: an array too large to allocate
+        return _domain_error("MemoryError", e)
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

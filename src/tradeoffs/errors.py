@@ -5,6 +5,8 @@ so CLI and library users can catch one base class. Names double as the
 machine-readable ``error`` field in CLI error output.
 """
 
+import math
+
 __all__ = [
     "TradeoffError",
     "Infeasible",
@@ -67,3 +69,31 @@ class EntryTooLarge(TradeoffError):
 
 class NonFiniteEmbedding(TradeoffError):
     """An embedding holds a NaN or an infinity, or its norm overflows."""
+
+
+def _number(value, name: str, low=None, *, above=False, whole=False, rule=None):
+    """``value``, if it is a real number whose ``float`` is finite (NaN, an
+    infinity and an int beyond float range fail alike), at least ``low``
+    (above it, with ``above``) and, with ``whole``, whole. Else a
+    ``ValueError``, "<name> must be <rule>", where ``rule`` defaults to
+    "whole" for a fraction, else to "finite" or "<nonnegative, positive
+    or at least low> and finite"."""
+    try:
+        ok = math.isfinite(value) and (low is None or value > low or value == low and not above)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        ok = False
+    if not ok:
+        if rule is None:
+            bound = ("positive" if above else "nonnegative") if low == 0 else f"at least {low}"
+            rule = "finite" if low is None else f"{bound} and finite"
+        raise ValueError(f"{name} must be {rule}")
+    if whole and value % 1:
+        raise ValueError(f"{name} must be {rule or 'whole'}")
+    return value
+
+
+def _size(value, name: str, low: int, rule=None):
+    """``_number`` of a count that sizes a numpy array, in its index range."""
+    if _number(value, name, low, whole=True, rule=rule) >= 2**63:
+        raise ValueError(f"{name} must be below 2**63")
+    return value

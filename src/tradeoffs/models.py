@@ -34,6 +34,7 @@ from .errors import (
     Infeasible,
     NegativeCapacity,
     NonDifferentiableModel,
+    _number,
 )
 
 __all__ = [
@@ -75,12 +76,9 @@ class RateComputeSample:
     quality: float
 
     def __post_init__(self):
-        if not 0 <= self.bandwidth_bpp < math.inf:
-            raise ValueError("bandwidth_bpp must be nonnegative and finite")
-        if not 0 <= self.compute_flops < math.inf:
-            raise ValueError("compute_flops must be nonnegative and finite")
-        if not math.isfinite(self.quality):
-            raise ValueError("quality must be finite")
+        _number(self.bandwidth_bpp, "bandwidth_bpp", 0)
+        _number(self.compute_flops, "compute_flops", 0)
+        _number(self.quality, "quality")
 
 
 @dataclass(frozen=True)
@@ -101,19 +99,12 @@ class DeficitParams:
     deficit_bandwidth_factor: float = 0.0
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it; an int of any size passes.
-        if not 0 <= self.total_memory_gb < math.inf:
-            raise ValueError("total_memory_gb must be nonnegative and finite")
-        if not 0 <= self.device_memory_gb < math.inf:
-            raise ValueError("device_memory_gb must be nonnegative and finite")
-        if not 1 <= self.device_count < math.inf:
-            raise ValueError("device_count must be at least 1 and finite")
-        if not -math.inf < self.allreduce_factor < math.inf:
-            raise ValueError("allreduce_factor must be finite")
-        if not -math.inf < self.state_volume_gb < math.inf:
-            raise ValueError("state_volume_gb must be finite")
-        if not 0 <= self.deficit_bandwidth_factor < math.inf:
-            raise ValueError("deficit_bandwidth_factor must be nonnegative and finite")
+        _number(self.total_memory_gb, "total_memory_gb", 0)
+        _number(self.device_memory_gb, "device_memory_gb", 0)
+        _number(self.device_count, "device_count", 1, whole=True)
+        _number(self.allreduce_factor, "allreduce_factor")
+        _number(self.state_volume_gb, "state_volume_gb")
+        _number(self.deficit_bandwidth_factor, "deficit_bandwidth_factor", 0)
 
 
 @dataclass(frozen=True)
@@ -132,14 +123,13 @@ class CacheCostParams:
     entry_size_gb: float
 
     def __post_init__(self):
-        if not 1 <= self.total_steps < math.inf:
-            raise ValueError("total_steps must be at least 1 and finite")
-        if not 0 < self.step_cost_flops < math.inf:
-            raise ValueError("step_cost_flops must be positive and finite")
-        if not 0 <= self.reuse_depth <= self.total_steps:
-            raise ValueError("reuse_depth must be finite and lie in [0, total_steps]")
-        if not 0 < self.entry_size_gb < math.inf:
-            raise ValueError("entry_size_gb must be positive and finite")
+        _number(self.total_steps, "total_steps", 1, whole=True)
+        _number(self.step_cost_flops, "step_cost_flops", 0, above=True)
+        rule = "finite and lie in [0, total_steps]"
+        if _number(self.reuse_depth, "reuse_depth", 0, rule=rule) > self.total_steps:
+            raise ValueError(f"reuse_depth must be {rule}")
+        _number(self.reuse_depth, "reuse_depth", whole=True)
+        _number(self.entry_size_gb, "entry_size_gb", 0, above=True)
 
     @property
     def full_cost_flops(self) -> float:
@@ -174,9 +164,7 @@ class HitRateModel(abc.ABC):
     def _check_capacity(capacity_gb: float) -> float:
         if capacity_gb < 0:
             raise NegativeCapacity(f"capacity must be >= 0, got {capacity_gb}")
-        if not capacity_gb < math.inf:  # NaN or infinite
-            raise ValueError(f"capacity must be finite, got {capacity_gb}")
-        return float(capacity_gb)
+        return float(_number(capacity_gb, "capacity"))
 
 
 @dataclass(frozen=True)
@@ -187,10 +175,9 @@ class ExponentialSaturation(HitRateModel):
     entry_size_gb: float
 
     def __post_init__(self):
-        if not 0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
-        if not 0 < self.entry_size_gb < math.inf:
-            raise ValueError("entry_size_gb must be positive and finite")
+        _number(self.beta, "beta", 0, above=True)
+        _number(self.entry_size_gb, "entry_size_gb", 0, above=True)
+        _number(self.beta / self.entry_size_gb, "beta / entry_size_gb")
 
     def hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)
@@ -210,10 +197,8 @@ class PowerLaw(HitRateModel):
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
+        _number(self.kappa, "kappa", 0, above=True)
+        _number(self.gamma, "gamma", 0, above=True)
 
     def hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)
@@ -235,17 +220,15 @@ class EmpiricalHitRate(HitRateModel):
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = tuple((float(m), float(h)) for m, h in self.points)
+        pts = tuple((float(_number(m, "capacities", 0)), h) for m, h in self.points)
         if not pts:
             raise ValueError("at least one point is required")
         caps = [m for m, _ in pts]
-        if not all(0 <= m < math.inf for m in caps):  # NaN fails
-            raise ValueError("capacities must be nonnegative and finite")
         if any(b <= a for a, b in zip(caps, caps[1:])):
             raise ValueError("capacities must be strictly increasing")
-        if any(not 0 <= h <= 1 for _, h in pts):
+        if any(not 0 <= h <= 1 for _, h in pts):  # NaN fails, as does an int beyond float range
             raise ValueError("hit rates must lie in [0, 1]")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple((m, float(h)) for m, h in pts))
 
     def hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)
@@ -308,10 +291,8 @@ def frontier_min_bandwidth(
     """
     if not samples:
         raise ValueError("samples must be non-empty")
-    if not math.isfinite(quality_target):
-        raise ValueError("quality target must be finite")
-    if not 0 <= compute_budget_flops < math.inf:
-        raise ValueError("compute budget must be nonnegative and finite")
+    _number(quality_target, "quality target")
+    _number(compute_budget_flops, "compute budget", 0)
     best: FrontierResult | None = None
     for i, s in enumerate(samples):
         if s.quality < quality_target or s.compute_flops > compute_budget_flops:
@@ -411,10 +392,9 @@ _REFINEMENT_HALVINGS = 20
 def _validate_fit_points(
     points: Sequence[tuple[float, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    caps = np.asarray([m for m, _ in points], dtype=float)
-    rates = np.asarray([h for _, h in points], dtype=float)
-    if not (np.isfinite(caps).all() and np.isfinite(rates).all()):
-        raise ValueError("capacities and hit rates must be finite")
+    name = "capacities and hit rates"
+    caps = np.asarray([_number(m, name) for m, _ in points], dtype=float)
+    rates = np.asarray([_number(h, name) for _, h in points], dtype=float)
     if len(points) < 3:
         raise DegeneratePoints("at least 3 points are required")
     if np.any(caps <= 0):
@@ -439,7 +419,7 @@ def _fit_exponential(caps, rates, entry_size_gb: float) -> ExponentialSaturation
     with np.errstate(all="ignore"):
         x = -caps / entry_size_gb
         beta = float(np.dot(x, y) / np.dot(x, x))
-    if not -math.inf < beta < math.inf:
+    if not math.isfinite(beta):
         raise ValueError("entry size is out of range for these capacities")
     if beta <= 0:
         raise DegeneratePoints("points do not show an increasing hit rate")
@@ -531,8 +511,7 @@ def fit_hit_rate(
     no finite beta.
     """
     caps, rates = _validate_fit_points(points)
-    if not 0 < entry_size_gb < math.inf:
-        raise ValueError("entry_size_gb must be positive and finite")
+    _number(entry_size_gb, "entry_size_gb", 0, above=True)
     if family is ExponentialSaturation:
         model = _fit_exponential(caps, rates, entry_size_gb)
         fitted = np.array([model.hit_rate(m) for m in caps])

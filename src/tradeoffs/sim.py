@@ -33,7 +33,7 @@ from .cache import (
     _ReplayCache,
     _whole_bytes,
 )
-from .errors import EntryTooLarge
+from .errors import EntryTooLarge, _number
 from .models import FitResult, HitRateModel, fit_hit_rate
 from .workload import Trace, _read_float_csv, _write_text
 
@@ -82,12 +82,8 @@ class SimConfig:
     cross_resolution_match: bool = False
 
     def __post_init__(self):
-        # Written so that NaN fails each check; an int of any size passes.
         object.__setattr__(self, "capacity_bytes", _whole_bytes(self.capacity_bytes))
-        if not 1 <= self.total_steps < math.inf:
-            raise ValueError("total_steps must be at least 1 and finite")
-        if self.total_steps % 1:
-            raise ValueError("total_steps must be whole")
+        _number(self.total_steps, "total_steps", 1, whole=True)
         depths, _ = _entry_sizes(self.stored_depths, self.latent_bytes_by_resolution)
         if depths[-1] > self.total_steps:
             raise ValueError("max stored depth exceeds total_steps")
@@ -99,8 +95,7 @@ class SimConfig:
         if missing:
             raise ValueError(f"step_cost_by_resolution lacks {', '.join(missing)}")
         for res, c in self.step_cost_by_resolution.items():
-            if not 0 < c < math.inf:
-                raise ValueError(f"step cost for {res} must be positive and finite")
+            _number(c, f"step cost for {res}", 0, above=True)
         object.__setattr__(self, "stored_depths", depths)
         object.__setattr__(self, "step_cost_by_resolution", dict(self.step_cost_by_resolution))
         object.__setattr__(
@@ -303,8 +298,8 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
 class CurvePoint:
     """One sweep row; saved/expected FLOPs are trace totals.
 
-    Raises ``ValueError`` for a negative, NaN or infinite capacity or a
-    hit rate outside [0, 1].
+    Raises ``ValueError`` for a capacity that is negative or not finite,
+    a hit rate outside [0, 1], or FLOPs that are not finite.
     """
 
     capacity_bytes: int
@@ -313,10 +308,11 @@ class CurvePoint:
     expected_cost_flops: float
 
     def __post_init__(self):
-        if not 0 <= self.capacity_bytes < math.inf:
-            raise ValueError("capacity must be nonnegative and finite")
+        _number(self.capacity_bytes, "capacity", 0)
         if not 0.0 <= self.hit_rate <= 1.0:
             raise ValueError("hit rate must lie in [0, 1]")
+        _number(self.saved_flops, "saved_flops")
+        _number(self.expected_cost_flops, "expected_cost_flops")
 
     @property
     def capacity_gb(self) -> float:
@@ -346,11 +342,10 @@ def sweep(
     completion order. ``jobs`` > 1 shares the points among up to that
     many processes, this one and forked workers, where fork is available
     and the caller is neither daemonic nor running other threads; results
-    are identical either way. ``jobs`` below 1, NaN, infinite or
+    are identical either way. ``jobs`` below 1, not finite or
     fractional is a ``ValueError``.
     """
-    if not 1 <= jobs < math.inf or jobs % 1:  # NaN fails the first test
-        raise ValueError("jobs must be at least 1, finite and whole")
+    _number(jobs, "jobs", 1, whole=True, rule="at least 1, finite and whole")
     if not capacities:
         raise ValueError("capacities must be non-empty")
     caps = [_whole_bytes(c) for c in capacities]
@@ -393,7 +388,7 @@ def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -
 
 def _curve_row(cap_gb: float, hit: float, saved: float, cost: float) -> CurvePoint:
     capacity = cap_gb * GB
-    if not -math.inf < capacity < math.inf:  # finite in GB, out of float range in bytes
+    if not math.isfinite(capacity):  # finite in GB, out of float range in bytes
         raise ValueError("capacity is out of range")
     return CurvePoint(round(capacity), hit, saved, cost)
 

@@ -43,6 +43,8 @@ from .errors import (
     ParseError,
     TradeoffError,
     ZeroNormEmbedding,
+    _number,
+    _size,
 )
 
 __all__ = [
@@ -164,27 +166,22 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.num_requests < math.inf and self.num_requests % 1 == 0):
-            raise ValueError("num_requests must be nonnegative, finite and whole")
-        if not (1 <= self.num_clusters < math.inf and self.num_clusters % 1 == 0):
-            raise ValueError("num_clusters must be at least 1, finite and whole")
-        if not (1 <= self.dimension < math.inf and self.dimension % 1 == 0):
-            raise ValueError("dimension must be at least 1, finite and whole")
-        seed = self.seed
-        if not (isinstance(seed, numbers.Real) and 0 <= seed < math.inf and seed % 1 == 0):
-            raise ValueError("seed must be nonnegative, finite and whole")
-        if not 0 <= self.zipf_exponent < math.inf:
-            raise ValueError("zipf_exponent must be finite and nonnegative")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and nonnegative")
+        _size(self.num_requests, "num_requests", 0, "nonnegative, finite and whole")
+        _size(self.num_clusters, "num_clusters", 1, "at least 1, finite and whole")
+        _size(self.dimension, "dimension", 1, "at least 1, finite and whole")
+        # numpy's SeedSequence takes a nonnegative int of any size.
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            _number(self.seed, "seed", 0, whole=True, rule="nonnegative, finite and whole")
+        rule = "finite and nonnegative"
+        _number(self.zipf_exponent, "zipf_exponent", 0, rule=rule)
+        _number(self.noise_sigma, "noise_sigma", 0, rule=rule)
         mix = dict(self.resolution_mix)
         if not mix:
             raise ValueError("resolution_mix must be non-empty")
         for res, p in mix.items():
             if res not in RESOLUTIONS:
                 raise ValueError(f"unknown resolution {res!r}")
-            if not 0 <= p < math.inf:
-                raise ValueError("resolution probabilities must be finite and nonnegative")
+            _number(p, "resolution probabilities", 0, rule=rule)
         if abs(sum(mix.values()) - 1.0) > 1e-9:
             raise ValueError("resolution_mix probabilities must sum to 1")
         object.__setattr__(self, "resolution_mix", mix)
@@ -629,8 +626,9 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines)
 
 
-def save_trace(trace: Trace, dest: str | os.PathLike | IO) -> None:
-    """Write ``serialize_trace(trace)`` to a path or text stream.
+def save_trace(trace: Trace, dest: str | os.PathLike | IO) -> str | None:
+    """Write ``serialize_trace(trace)`` to a path or text stream; return
+    the SHA-256 (hex) of the bytes written to a path, or None for a stream.
 
     A path that names a regular file once written also gets the sidecar
     ``<path>.cache.npz``, which ``load_trace`` of the path reads in place
@@ -644,6 +642,7 @@ def save_trace(trace: Trace, dest: str | os.PathLike | IO) -> None:
         # load of it parses the JSON.
         with contextlib.suppress(OSError):
             _write_sidecar(trace, dest, digest)
+    return digest
 
 
 def generate_trace(config: GeneratorConfig) -> Trace:

@@ -272,6 +272,12 @@ def test_non_finite_model_flag_is_usage_error(capsys, argv, flag, value):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_an_exponential_rate_beyond_float_range_is_a_usage_error_that_names_it(capsys):
+    code, out, err = run(capsys, "marginal", "--reuse", "20", "--capacity", "1", "--model", "exp",
+                         "--beta", "1e308", "--entry-size", "1e-308")
+    assert (code, out, err) == (2, "", "error: beta / entry_size_gb must be finite\n")
+
+
 def test_non_finite_result_is_usage_error_not_invalid_json(capsys, monkeypatch):
     import tradeoffs.cli as cli
 
@@ -285,10 +291,12 @@ def test_non_finite_result_is_usage_error_not_invalid_json(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_gen_writes_trace_and_manifest(tmp_path, capsys):
+def test_gen_writes_trace_and_manifest(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.jsonl"
-    code, stdout, _ = run(capsys, "gen", "--out", str(out), "--n", "40",
-                          "--clusters", "4", "--dim", "8", "--seed", "6")
+    with monkeypatch.context() as patch:  # the digest is the one taken as it was written
+        patch.setattr(workload, "_file_sha256", lambda path: pytest.fail("hashed again"))
+        code, stdout, _ = run(capsys, "gen", "--out", str(out), "--n", "40",
+                              "--clusters", "4", "--dim", "8", "--seed", "6")
     assert code == 0
     assert json.loads(stdout)["requests"] == 40
     trace = load_trace(out)
@@ -296,6 +304,9 @@ def test_gen_writes_trace_and_manifest(tmp_path, capsys):
         GeneratorConfig(num_requests=40, num_clusters=4, dimension=8, seed=6))
     manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
     assert manifest["subcommand"] == "gen" and manifest["seed"] == 6
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert manifest["outputs"] == {str(out): digest}
+    assert trace.source_sha256 == digest
 
 
 
@@ -580,11 +591,15 @@ def _launch(cwd, launcher, argv):
     (["sweep", "--capacities", "80MB,160MB,320MB", "--jobs", "2", "--out", "curve.csv"], 0),
     (["gen", "--out", "g.jsonl", "--n", "50", "--clusters", "3", "--dim", "8"], 0),
     (["replay", "--capacity", "1GB", "--trace", "no-such.jsonl"], 1),
+    # Arrays of 8 and 64 PB, beyond any address space: numpy fails to
+    # allocate them before it touches any memory.
+    (["gen", "--out", "g.jsonl", "--n", "1000000000000000", "--clusters", "3", "--dim", "8"], 1),
+    (["gen", "--out", "g.jsonl", "--n", "50", "--clusters", "1000000000000000", "--dim", "8"], 1),
     (["replay", "--capacity", "1e400GB"], 2),
     (["sweep", "--capacities", "80MB", "--jobs", "0"], 2),
     (["fit", "--curve", "c.csv"], 2),
-], ids=["replay files", "replay stdout", "sweep", "gen", "missing trace", "bad capacity",
-        "bad jobs", "argparse"])
+], ids=["replay files", "replay stdout", "sweep", "gen", "missing trace", "gen requests memory",
+        "gen clusters memory", "bad capacity", "bad jobs", "argparse"])
 def test_the_exit_without_teardown_keeps_codes_and_bytes(tmp_path, argv, code):
     trace_path = tmp_path / "t.jsonl"
     save_trace(generate_trace(GeneratorConfig(num_requests=60, num_clusters=5,
@@ -597,6 +612,8 @@ def test_the_exit_without_teardown_keeps_codes_and_bytes(tmp_path, argv, code):
     assert fast[0] == code
     assert fast == slow
     assert (fast[1] or fast[3]) if code == 0 else fast[2]  # something to compare
+    if "1000000000000000" in argv:
+        assert json.loads(fast[2])["error"] == "MemoryError"
 
 
 def test_a_norm_that_overflows_is_one_json_error_line(tmp_path):

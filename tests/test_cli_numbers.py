@@ -1,28 +1,49 @@
 """Every subcommand under hostile numbers: NaN, infinities, -0.0, 0, the
-smallest subnormal, 1e308 and -1 in each numeric flag.
+smallest subnormal, 1e308, -1 and an integer beyond float range (10**400
+written out, and its negative) in each numeric flag.
 
 A run must end in one of three ways, with no traceback and no warning:
 exit 0 with stdout that is JSON without NaN or Infinity; exit 1 with a
 JSON error object on stderr; or exit 2, a usage error. A file that a
 successful run writes must be accepted by the next stage's reader
-(gen -> replay/sweep -> fit).
+(gen -> replay/sweep -> fit). The library's parameter records reject
+the integer beyond float range where they are built.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tradeoffs import GeneratorConfig, generate_trace, load_trace, save_trace
+from tradeoffs import (
+    DEFAULT_LATENT_BYTES,
+    CacheCostParams,
+    CacheState,
+    CurvePoint,
+    DeficitParams,
+    EmpiricalHitRate,
+    ExponentialSaturation,
+    GeneratorConfig,
+    PowerLaw,
+    RateComputeSample,
+    ReuseDepthPolicy,
+    SimConfig,
+    generate_trace,
+    load_trace,
+    save_trace,
+)
 from tradeoffs.cli import main
 from tradeoffs.sim import read_curve_csv
 
-HOSTILE = ("nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e308", "-1")
+BEYOND_FLOAT = "1" + "0" * 400
+HOSTILE = ("nan", "inf", "-inf", "-0.0", "0", "5e-324", "1e308", "-1",
+           BEYOND_FLOAT, "-" + BEYOND_FLOAT)
 
 
 def _reject_constant(name):
@@ -120,7 +141,10 @@ def _argv(draw, case, files):
 @given(data=st.data())
 def test_every_run_exits_0_1_or_2_and_prints_only_json(monkeypatch, files, case, data):
     monkeypatch.delenv("TRINITY_SEED", raising=False)
-    argv = data.draw(_argv(case, files), label="argv")
+    _check_run(data.draw(_argv(case, files), label="argv"))
+
+
+def _check_run(argv):
     code, out, err = _run(argv)
     assert "Traceback" not in err
     if code == 0:
@@ -141,6 +165,18 @@ def test_every_run_exits_0_1_or_2_and_prints_only_json(monkeypatch, files, case,
         assert out == ""
     if argv[0] == "fit" and not 0 < float(argv[argv.index("--entry-size") + 1]) < math.inf:
         assert code == 2  # checked for both families, though only exp uses it
+
+
+@pytest.mark.parametrize("case, flag", [(case, flag) for case, (_, flags) in CASES.items()
+                                        for flag in flags])
+def test_each_flag_beyond_float_range_exits_0_1_or_2(monkeypatch, files, case, flag):
+    # The pool above draws an integer beyond float range only by chance;
+    # here each flag takes one, the others their valid values.
+    monkeypatch.delenv("TRINITY_SEED", raising=False)
+    fixed, flags = CASES[case]
+    for value in (BEYOND_FLOAT, "-" + BEYOND_FLOAT):
+        values = {**flags, flag: value}
+        _check_run([case.split()[0], *fixed(files), *(x for item in values.items() for x in item)])
 
 
 @pytest.mark.parametrize("family", ["exp", "power"])
@@ -184,3 +220,85 @@ def test_fit_takes_every_curve_that_sweep_writes(
             assert set(_json(out)) == {"family", "params", "residual"}
         else:
             assert _json(err)["error"] == "DegeneratePoints", (family, err)
+
+
+# ---------------------------------------------------------------------------
+# the library's parameter records
+# ---------------------------------------------------------------------------
+
+E720 = 5 * DEFAULT_LATENT_BYTES["720p"]
+# Each record with valid values, and each flat field's name in its errors.
+RECORDS = {
+    RateComputeSample: ({"bandwidth_bpp": 0.1, "compute_flops": 1e9, "quality": 0.9}, {}),
+    DeficitParams: ({"total_memory_gb": 400, "device_count": 2, "device_memory_gb": 100,
+                     "allreduce_factor": 2, "state_volume_gb": 10,
+                     "deficit_bandwidth_factor": 0.5}, {}),
+    CacheCostParams: ({"total_steps": 50, "step_cost_flops": 1e9, "reuse_depth": 20,
+                       "entry_size_gb": 0.08}, {}),
+    ExponentialSaturation: ({"beta": 0.04, "entry_size_gb": 0.08}, {}),
+    PowerLaw: ({"kappa": 1.2, "gamma": 0.5}, {}),
+    SimConfig: ({"capacity_bytes": E720, "total_steps": 50}, {}),
+    CurvePoint: ({"capacity_bytes": E720, "hit_rate": 0.5, "saved_flops": 1e9,
+                  "expected_cost_flops": 2e9},
+                 {"capacity_bytes": "capacity", "hit_rate": "hit rate"}),
+    CacheState: ({"capacity_bytes": E720, "dim": 4}, {}),
+    GeneratorConfig: ({"num_requests": 10, "num_clusters": 2, "dimension": 4,
+                       "zipf_exponent": 1.1, "noise_sigma": 0.05}, {}),
+}
+COUNTS = {"device_count", "total_steps", "reuse_depth", "dim", "num_requests", "num_clusters",
+          "dimension"}
+
+
+def _latent(v):
+    return {**DEFAULT_LATENT_BYTES, "2k": v}
+
+
+# (id, build from one value, the name its errors give, whether it is a count)
+FIELDS = [
+    *((f"{record.__name__}.{field}",
+       lambda v, record=record, valid=valid, field=field: record(**{**valid, field: v}),
+       said.get(field, field), field in COUNTS)
+      for record, (valid, said) in RECORDS.items() for field in valid),
+    ("EmpiricalHitRate.capacity", lambda v: EmpiricalHitRate(((0.0, 0.1), (v, 0.5))),
+     "capacities", False),
+    ("EmpiricalHitRate.hit_rate", lambda v: EmpiricalHitRate(((0.0, v),)), "hit rates", False),
+    ("ReuseDepthPolicy.bound", lambda v: ReuseDepthPolicy(((v, 5),)), "band bounds", False),
+    ("ReuseDepthPolicy.depth", lambda v: ReuseDepthPolicy(((0.9, v),)), "band", True),
+    ("SimConfig.step_cost", lambda v: SimConfig(E720, step_cost_by_resolution={
+        "720p": v, "1080p": 1e9, "2k": 1e9}), "step cost for 720p", False),
+    ("SimConfig.latent_bytes", lambda v: SimConfig(E720, latent_bytes_by_resolution=_latent(v)),
+     "latent size for 2k", False),
+    ("SimConfig.stored_depths", lambda v: SimConfig(E720, stored_depths=(v,)),
+     "stored depths", True),
+    ("CacheState.latent_bytes", lambda v: CacheState(E720, dim=4, latent_bytes=_latent(v)),
+     "latent size for 2k", False),
+    ("CacheState.stored_depths", lambda v: CacheState(E720, dim=4, stored_depths=(v,)),
+     "stored depths", True),
+    ("GeneratorConfig.resolution_mix",
+     lambda v: GeneratorConfig(10, 2, resolution_mix={"720p": v}), "resolution probabilities",
+     False),
+]
+
+
+@pytest.mark.parametrize("build, name, count", [f[1:] for f in FIELDS], ids=[f[0] for f in FIELDS])
+def test_each_record_rejects_an_int_beyond_float_range_and_a_fractional_count(build, name, count):
+    for value in (10**400, -10**400):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            build(value)
+    if count:
+        with pytest.raises(ValueError, match=f"{re.escape(name)}.* must be .*whole"):
+            build(2.5)
+
+
+@pytest.mark.parametrize("name", ["num_requests", "num_clusters", "dimension", "dim"])
+def test_a_count_that_sizes_an_array_stays_in_numpys_index_range(name):
+    with pytest.raises(ValueError, match=f"^{name} must be below 2\\*\\*63$"):
+        if name == "dim":
+            CacheState(E720, dim=2**63)
+        else:
+            GeneratorConfig(**{"num_requests": 1, "num_clusters": 1, name: 2**63})
+
+
+def test_a_seed_beyond_float_range_still_draws_a_trace():
+    config = GeneratorConfig(num_requests=5, num_clusters=2, dimension=4, seed=10**400)
+    assert len(generate_trace(config)) == 5

@@ -78,6 +78,12 @@ def test_parameters_must_be_finite(bad):
             make(bad)
 
 
+def test_an_exponential_rate_beyond_float_range_is_rejected_when_built():
+    # Its marginal at capacity 1 would be inf * exp(-inf), a NaN.
+    with pytest.raises(ValueError, match=r"^beta / entry_size_gb must be finite$"):
+        ExponentialSaturation(beta=1e308, entry_size_gb=1e-308)
+
+
 @pytest.mark.parametrize("capacity", [math.nan, math.inf])
 def test_non_finite_capacity_is_rejected(capacity):
     cost = CacheCostParams(50, 1e9, 20, 0.08)
