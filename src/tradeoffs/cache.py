@@ -277,6 +277,8 @@ class CacheState:
     ):
         self.capacity_bytes = _whole_bytes(capacity_bytes)
         self.dim = int(_size(dim, "dim", 1))
+        if self.dim >= 2**54:  # a first partition of 64 float64 rows reaches 2**63 bytes
+            raise ValueError("dim must be below 2**54")
         self.policy = policy
         self.stored_depths, self._entry_size = _entry_sizes(stored_depths, latent_bytes)
         self.tick = 0

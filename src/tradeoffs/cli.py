@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cache import DEFAULT_DIM, RESOLUTIONS
-from .errors import TradeoffError
+from .errors import TradeoffError, _number
 from .models import (
     CacheCostParams,
     DeficitParams,
@@ -54,6 +53,7 @@ from .workload import (
     GeneratorConfig,
     _file_sha256,
     _read_float_csv,
+    _write_text,
     generate_trace,
     load_trace,
     save_trace,
@@ -76,12 +76,7 @@ def parse_bytes(text: str) -> int:
         value = float(m.group(1))
     except ValueError:
         raise ValueError(f"cannot parse byte count {text!r}") from None
-    if value < 0:
-        raise ValueError("byte count must be nonnegative")
-    nbytes = value * _BYTES_SUFFIX[suffix]
-    if not math.isfinite(nbytes):
-        raise ValueError(f"byte count {text!r} is out of range")
-    return int(round(nbytes))
+    return int(round(_number(value * _BYTES_SUFFIX[suffix], f"byte count {text!r}", 0)))
 
 
 def _input_digest(path: str, trace) -> str | None:
@@ -93,17 +88,23 @@ def _input_digest(path: str, trace) -> str | None:
     return trace.source_sha256
 
 
+def _json_text(doc: dict | list) -> str:
+    """A JSON document as every command prints or writes it. A NaN or an
+    infinity in it is a ValueError (exit 2), not invalid JSON."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _write_manifest(
     out_path: str,
+    digest: str | None,
     subcommand: str,
     parameters: dict,
     inputs: dict[str, str],
     seed: int | None = None,
-    outputs: dict[str, str | None] | None = None,
 ) -> None:
     """Write ``<out_path>.manifest.json``; ``inputs`` maps each input
     path to the SHA-256 of the bytes the command read from it, and
-    ``outputs``, if given, each output path to that of the bytes written."""
+    ``outputs`` maps ``out_path`` to ``digest``, that of the bytes written."""
     doc = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -111,17 +112,13 @@ def _write_manifest(
         "seed": seed,
         "tool_version": __version__,
         "numpy_version": np.__version__,
+        "outputs": {out_path: digest},
     }
-    if outputs is not None:
-        doc["outputs"] = outputs
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_text(out_path + ".manifest.json", _json_text(doc))
 
 
 def _emit(doc: dict | list) -> None:
-    # A NaN or infinite result is a ValueError (exit 2), not invalid JSON.
-    print(json.dumps(doc, indent=2, allow_nan=False))
+    sys.stdout.write(_json_text(doc))
 
 
 def _add_cost_args(p: argparse.ArgumentParser, marginal: bool) -> None:
@@ -352,6 +349,7 @@ def _cmd_gen(args) -> int:
     digest = save_trace(trace, args.out)
     _write_manifest(
         args.out,
+        digest,
         "gen",
         {
             "n": args.n,
@@ -364,7 +362,6 @@ def _cmd_gen(args) -> int:
         },
         inputs={},
         seed=seed,
-        outputs={args.out: digest},
     )
     _emit({"out": args.out, "requests": len(trace), "dimension": trace.dimension, "seed": seed})
     return 0
@@ -392,14 +389,10 @@ def _cmd_replay(args) -> int:
     if args.records or args.out:
         inputs = {args.trace: _input_digest(args.trace, trace)}
     if args.records:
-        with open(args.records, "w", encoding="utf-8") as f:
-            f.writelines(f"{rec._json()}\n" for rec in report.per_request)
-        _write_manifest(args.records, "replay", params, inputs)
+        text = "".join(f"{rec._json()}\n" for rec in report.per_request)
+        _write_manifest(args.records, _write_text(args.records, text), "replay", params, inputs)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-        _write_manifest(args.out, "replay", params, inputs)
+        _write_manifest(args.out, _write_text(args.out, _json_text(doc)), "replay", params, inputs)
     else:
         _emit(doc)
     return 0
@@ -412,8 +405,9 @@ def _cmd_sweep(args) -> int:
     curve = sweep(trace, config, capacities, jobs=args.jobs)
     params = _replay_params(args, {"capacities_bytes": sorted(capacities)})
     if args.out:
-        write_curve_csv(curve, args.out)
-        _write_manifest(args.out, "sweep", params, {args.trace: _input_digest(args.trace, trace)})
+        digest = write_curve_csv(curve, args.out)
+        _write_manifest(args.out, digest, "sweep", params,
+                        {args.trace: _input_digest(args.trace, trace)})
     _emit([{name: getattr(p, name) for name in CURVE_COLUMNS} for p in curve])
     return 0
 

@@ -133,13 +133,13 @@ class CacheCostParams:
 
     @property
     def full_cost_flops(self) -> float:
-        """Cost of an uncached generation: total_steps * step_cost."""
-        return self.total_steps * self.step_cost_flops
+        """Cost of an uncached generation: total_steps * step_cost (ValueError if not finite)."""
+        return _number(float(self.total_steps) * self.step_cost_flops, "full_cost_flops")
 
     @property
     def reuse_savings_flops(self) -> float:
         """FLOPs saved by one hit: reuse_depth * step_cost."""
-        return self.reuse_depth * self.step_cost_flops
+        return float(self.reuse_depth) * self.step_cost_flops
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,9 @@ class PowerLaw(HitRateModel):
 
     def marginal_hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)
-        return self.gamma * self.kappa * (1.0 + self.kappa * m) ** (-self.gamma - 1.0)
+        # Where gamma * kappa overflows, the power can underflow to 0: inf * 0 is NaN.
+        slope = self.gamma * self.kappa * (1.0 + self.kappa * m) ** (-self.gamma - 1.0)
+        return _number(slope, "marginal hit rate")
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ class EmpiricalHitRate(HitRateModel):
 
 def memory_deficit(p: DeficitParams) -> float:
     """Model state (GB) that exceeds aggregate device memory; never negative."""
-    return max(0.0, float(p.total_memory_gb - p.device_count * p.device_memory_gb))
+    return max(0.0, p.total_memory_gb - float(p.device_count) * p.device_memory_gb)
 
 
 def comm_cost(p: DeficitParams) -> float:
@@ -252,12 +254,10 @@ def comm_cost(p: DeficitParams) -> float:
 
     Standard synchronization (all-reduce factor times the synchronized
     state volume) plus the bandwidth spent compensating the memory
-    deficit.
+    deficit. A cost beyond float range is a ``ValueError``.
     """
-    return (
-        p.allreduce_factor * p.state_volume_gb
-        + p.deficit_bandwidth_factor * memory_deficit(p)
-    )
+    sync = float(p.allreduce_factor) * p.state_volume_gb
+    return _number(sync + p.deficit_bandwidth_factor * memory_deficit(p), "comm_gb")
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +337,23 @@ def expected_compute(
     Expected cost is ``full_cost - h(M) * reuse_savings``. Also reports
     the entry count storable at this capacity (floor of M / entry size)
     and the exchange rate of saved FLOPs per GB of cache (0 at M = 0).
+    A result beyond float range is a ``ValueError`` that names it.
     """
     if capacity_gb < 0:
         raise NegativeCapacity(f"capacity must be >= 0, got {capacity_gb}")
     h = model.hit_rate(capacity_gb)
+    full = cost.full_cost_flops
     saved = h * cost.reuse_savings_flops
-    entries = capacity_gb // cost.entry_size_gb
-    if entries == math.inf:
-        raise ValueError("capacity / entry size is beyond float range")
+    per_gb = _number(saved / capacity_gb, "saved_flops_per_gb") if capacity_gb > 0 else 0.0
     return CacheEconomics(
         capacity_gb=capacity_gb,
         hit_rate=h,
-        full_cost_flops=cost.full_cost_flops,
+        full_cost_flops=full,
         reuse_savings_flops=cost.reuse_savings_flops,
         expected_saved_flops=saved,
-        expected_cost_flops=cost.full_cost_flops - saved,
-        entry_count=int(entries),
-        saved_flops_per_gb=saved / capacity_gb if capacity_gb > 0 else 0.0,
+        expected_cost_flops=full - saved,
+        entry_count=int(_number(capacity_gb // cost.entry_size_gb, "entry_count")),
+        saved_flops_per_gb=per_gb,
     )
 
 
@@ -363,9 +363,11 @@ def marginal_benefit(
     """Saved FLOPs per additional GB of cache: -d(expected cost)/dM.
 
     Requires a model with an analytic derivative (either closed-form
-    family); raises :class:`NonDifferentiableModel` for empirical tables.
+    family); raises :class:`NonDifferentiableModel` for empirical tables,
+    and ``ValueError`` for a benefit beyond float range.
     """
-    return model.marginal_hit_rate(capacity_gb) * cost.reuse_savings_flops
+    benefit = model.marginal_hit_rate(capacity_gb) * cost.reuse_savings_flops
+    return _number(benefit, "marginal_flops_per_gb")
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +421,7 @@ def _fit_exponential(caps, rates, entry_size_gb: float) -> ExponentialSaturation
     with np.errstate(all="ignore"):
         x = -caps / entry_size_gb
         beta = float(np.dot(x, y) / np.dot(x, x))
-    if not math.isfinite(beta):
-        raise ValueError("entry size is out of range for these capacities")
-    if beta <= 0:
+    if _number(beta, "beta fitted at this entry size") <= 0:
         raise DegeneratePoints("points do not show an increasing hit rate")
     return ExponentialSaturation(beta=beta, entry_size_gb=entry_size_gb)
 

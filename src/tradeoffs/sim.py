@@ -268,8 +268,7 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
             )
 
     # The full cost bounds every other total and each record's saved FLOPs.
-    if not math.isfinite(total_full):
-        raise ValueError("the trace's FLOP totals overflow float range")
+    _number(total_full, "total_full_flops")
     n = len(trace)
     summary = ReplaySummary(
         requests=n,
@@ -382,15 +381,15 @@ def curve_to_csv(curve: Sequence[CurvePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -> None:
-    _write_text(dest, curve_to_csv(curve))
+def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -> str | None:
+    """Write ``curve_to_csv(curve)`` to a path or text stream; return the
+    SHA-256 (hex) of the bytes written to a path, or None for a stream."""
+    return _write_text(dest, curve_to_csv(curve))
 
 
 def _curve_row(cap_gb: float, hit: float, saved: float, cost: float) -> CurvePoint:
-    capacity = cap_gb * GB
-    if not math.isfinite(capacity):  # finite in GB, out of float range in bytes
-        raise ValueError("capacity is out of range")
-    return CurvePoint(round(capacity), hit, saved, cost)
+    # A capacity finite in GB can leave float range in bytes.
+    return CurvePoint(round(_number(cap_gb * GB, "capacity_bytes")), hit, saved, cost)
 
 
 def read_curve_csv(source: str | os.PathLike | IO) -> list[CurvePoint]:

@@ -169,6 +169,9 @@ class GeneratorConfig:
         _size(self.num_requests, "num_requests", 0, "nonnegative, finite and whole")
         _size(self.num_clusters, "num_clusters", 1, "at least 1, finite and whole")
         _size(self.dimension, "dimension", 1, "at least 1, finite and whole")
+        for count in ("num_requests", "num_clusters"):
+            if getattr(self, count) * self.dimension >= 2**60:  # 2**63 bytes of float64
+                raise ValueError(f"{count} * dimension must be below 2**60")
         # numpy's SeedSequence takes a nonnegative int of any size.
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             _number(self.seed, "seed", 0, whole=True, rule="nonnegative, finite and whole")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tradeoffs
+import tradeoffs.cli as cli
 import tradeoffs.workload as workload
 from tradeoffs import (
     CacheCostParams,
@@ -36,6 +37,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def hash_only(monkeypatch, *inputs):
+    """Fail the test where a file other than ``inputs`` is hashed: the
+    digest of each file a command writes is the one taken as it was written."""
+    file_sha256 = workload._file_sha256
+
+    def only(p):
+        if os.fspath(p) not in map(os.fspath, inputs):
+            pytest.fail(f"{p} hashed again")
+        return file_sha256(p)
+
+    monkeypatch.setattr(workload, "_file_sha256", only)
+    monkeypatch.setattr(cli, "_file_sha256", only)
+
+
+def manifest_of(path) -> dict:
+    """The manifest beside ``path``, after checking that its ``outputs``
+    holds the SHA-256 of ``path``'s bytes."""
+    with open(f"{path}.manifest.json", encoding="utf-8") as f:
+        manifest = json.load(f)
+    with open(path, "rb") as f:
+        assert manifest["outputs"] == {str(path): hashlib.sha256(f.read()).hexdigest()}
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +303,25 @@ def test_an_exponential_rate_beyond_float_range_is_a_usage_error_that_names_it(c
     assert (code, out, err) == (2, "", "error: beta / entry_size_gb must be finite\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("deficit --total 1e308 --devices 1 --per-device 0 --k 10", "comm_gb"),
+    ("deficit --total 1 --devices 1 --per-device 0 --allreduce 1e308 --state 1e308", "comm_gb"),
+    ("expected-compute --steps 50 --step-cost 1e308 --reuse 20 --hit 0.5", "full_cost_flops"),
+    ("expected-compute --steps 50 --step-cost 1e300 --reuse 20 --capacity 5e-324 --hit 0.5",
+     "saved_flops_per_gb"),
+    # gamma * kappa overflows and the power underflows: inf * 0 is NaN.
+    ("marginal --steps 50 --step-cost 1e9 --reuse 20 --capacity 1 --model power "
+     "--kappa 1e308 --gamma 2", "marginal hit rate"),
+    ("marginal --steps 50 --step-cost 1e308 --reuse 20 --capacity 0 --model power "
+     "--kappa 1e308 --gamma 2", "marginal hit rate"),
+    ("marginal --steps 50 --step-cost 1e300 --reuse 20 --capacity 0 --model exp "
+     "--beta 1e300 --entry-size 1e-5", "marginal_flops_per_gb"),
+])
+def test_a_result_beyond_float_range_is_a_usage_error_that_names_it(capsys, argv, name):
+    # Every flag is in range; the result the command derives from them is not.
+    assert run(capsys, *argv.split()) == (2, "", f"error: {name} must be finite\n")
+
+
 def test_non_finite_result_is_usage_error_not_invalid_json(capsys, monkeypatch):
     import tradeoffs.cli as cli
 
@@ -293,8 +337,8 @@ def test_non_finite_result_is_usage_error_not_invalid_json(capsys, monkeypatch):
 
 def test_gen_writes_trace_and_manifest(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.jsonl"
-    with monkeypatch.context() as patch:  # the digest is the one taken as it was written
-        patch.setattr(workload, "_file_sha256", lambda path: pytest.fail("hashed again"))
+    with monkeypatch.context() as patch:
+        hash_only(patch)
         code, stdout, _ = run(capsys, "gen", "--out", str(out), "--n", "40",
                               "--clusters", "4", "--dim", "8", "--seed", "6")
     assert code == 0
@@ -302,12 +346,21 @@ def test_gen_writes_trace_and_manifest(tmp_path, capsys, monkeypatch):
     trace = load_trace(out)
     assert trace == generate_trace(
         GeneratorConfig(num_requests=40, num_clusters=4, dimension=8, seed=6))
-    manifest = json.loads((tmp_path / "t.jsonl.manifest.json").read_text())
+    manifest = manifest_of(out)
     assert manifest["subcommand"] == "gen" and manifest["seed"] == 6
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert manifest["outputs"] == {str(out): digest}
-    assert trace.source_sha256 == digest
+    assert trace.source_sha256 == hashlib.sha256(out.read_bytes()).hexdigest()
 
+
+
+def test_counts_whose_product_sizes_too_large_an_array_are_a_usage_error(tmp_path, capsys):
+    # 2**80 float64 cluster centers: numpy would refuse them with a message
+    # that names no flag.
+    out = tmp_path / "t.jsonl"
+    code, stdout, err = run(capsys, "gen", "--out", str(out), "--n", "10",
+                            "--clusters", "1099511627776", "--dim", "1099511627776")
+    assert (code, stdout) == (2, "")
+    assert err == "error: num_clusters * dimension must be below 2**60\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ["flag", "env"])
@@ -340,13 +393,14 @@ def test_trinity_seed_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert not out_bad.exists()
 
 
-def test_replay_outputs_and_records(tmp_path, capsys):
+def test_replay_outputs_and_records(tmp_path, capsys, monkeypatch):
     trace = generate_trace(GeneratorConfig(num_requests=60, num_clusters=5,
                                            dimension=8, noise_sigma=0.01, seed=2))
     trace_path = tmp_path / "t.jsonl"
     save_trace(trace, trace_path)
     out = tmp_path / "rep.json"
     recs = tmp_path / "recs.jsonl"
+    hash_only(monkeypatch, trace_path)
     code, _, _ = run(capsys, "replay", "--trace", str(trace_path),
                      "--capacity", "160MB", "--out", str(out),
                      "--records", str(recs))
@@ -363,19 +417,21 @@ def test_replay_outputs_and_records(tmp_path, capsys):
     )
     lines = [json.loads(ln) for ln in recs.read_text().splitlines()]
     assert lines == [r.to_dict() for r in expect.per_request]
-    manifest = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+    manifest = manifest_of(out)
     digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
     assert manifest["inputs"] == {str(trace_path): digest}
-    assert (tmp_path / "recs.jsonl.manifest.json").read_text() == (
-        tmp_path / "rep.json.manifest.json").read_text()
+    records_manifest = manifest_of(recs)
+    del manifest["outputs"], records_manifest["outputs"]
+    assert records_manifest == manifest
 
 
-def test_sweep_csv_matches_library(tmp_path, capsys):
+def test_sweep_csv_matches_library(tmp_path, capsys, monkeypatch):
     trace = generate_trace(GeneratorConfig(num_requests=80, num_clusters=4,
                                            dimension=8, noise_sigma=0.01, seed=3))
     trace_path = tmp_path / "t.jsonl"
     save_trace(trace, trace_path)
     out = tmp_path / "curve.csv"
+    hash_only(monkeypatch, trace_path)
     code, stdout, _ = run(capsys, "sweep", "--trace", str(trace_path),
                           "--capacities", "80MB,160MB,320MB",
                           "--jobs", "1", "--out", str(out))
@@ -383,6 +439,8 @@ def test_sweep_csv_matches_library(tmp_path, capsys):
     curve = sweep(trace, SimConfig(capacity_bytes=0),
                   [80_000_000, 160_000_000, 320_000_000])
     assert out.read_text() == curve_to_csv(curve)
+    assert manifest_of(out)["inputs"] == {
+        str(trace_path): hashlib.sha256(trace_path.read_bytes()).hexdigest()}
     rows = json.loads(stdout)
     assert [r["hit_rate"] for r in rows] == [p.hit_rate for p in curve]
 
@@ -406,8 +464,7 @@ def test_manifest_records_the_digest_of_the_trace_file(
     assert code == 0
     digest = hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest()
     for out in outputs:
-        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
-        assert manifest["inputs"] == {"t.jsonl": digest}
+        assert manifest_of(out)["inputs"] == {"t.jsonl": digest}
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -455,6 +512,10 @@ _PINNED_STDOUT = {
         '    "bandwidth_bpp": 0.075,\n    "compute_flops": 14000000000.0,\n'
         '    "quality": 0.9\n  }\n}\n'
     ),
+    # Finite results whose terms reach beyond float range: no check of a
+    # derived number may reject them.
+    "deficit": '{\n  "deficit_gb": 0.0,\n  "comm_gb": 0.0\n}\n',
+    "marginal": '{\n  "capacity_gb": 1.0,\n  "marginal_flops_per_gb": 0.0\n}\n',
 }
 
 
@@ -473,6 +534,9 @@ def test_sweep_fit_and_frontier_print_pinned_bytes(tmp_path, capsys, monkeypatch
         "exp": ["fit", "--curve", "curve.csv", "--family", "exp"],
         "power": ["fit", "--curve", "curve.csv", "--family", "power"],
         "frontier": ["frontier", "--samples", "s.csv", "--quality", "0.9", "--budget", "1.4e10"],
+        "deficit": ["deficit", "--total", "1", "--devices", "2", "--per-device", "1e308"],
+        "marginal": ["marginal", "--steps", "50", "--step-cost", "1e308", "--reuse", "0",
+                     "--capacity", "1", "--model", "exp", "--beta", "0.04"],
     }
     for name, argv in runs.items():
         assert run(capsys, *argv) == (0, _PINNED_STDOUT[name], ""), name
@@ -490,7 +554,7 @@ def test_flop_totals_that_overflow_are_usage_errors_that_write_nothing(
     # Each request's full cost, 50 * 1e306 FLOPs, is finite; their sum is not.
     code, stdout, err = run(capsys, command, "--trace", "t.jsonl", "--out", "out",
                             "--step-cost", "1e306", *extra)
-    assert code == 2 and stdout == "" and "overflow" in err
+    assert (code, stdout, err) == (2, "", "error: total_full_flops must be finite\n")
     for out in outputs:
         assert not (tmp_path / out).exists()
         assert not (tmp_path / f"{out}.manifest.json").exists()

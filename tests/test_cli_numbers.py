@@ -163,6 +163,7 @@ def _check_run(argv):
     else:
         assert code == 2, (code, out, err)
         assert out == ""
+        assert "not JSON compliant" not in err  # a result out of range names itself
     if argv[0] == "fit" and not 0 < float(argv[argv.index("--entry-size") + 1]) < math.inf:
         assert code == 2  # checked for both families, though only exp uses it
 
@@ -297,6 +298,24 @@ def test_a_count_that_sizes_an_array_stays_in_numpys_index_range(name):
             CacheState(E720, dim=2**63)
         else:
             GeneratorConfig(**{"num_requests": 1, "num_clusters": 1, name: 2**63})
+
+
+# numpy refuses an array of 2**63 bytes or more (2**60 float64 values)
+# before it allocates. Each size here is at or beyond that limit; one just
+# below it would have numpy try to allocate it.
+@pytest.mark.parametrize("count, value, dimension", [
+    ("num_requests", 2**30, 2**30), ("num_clusters", 2**60, 1), ("num_clusters", 2**40, 2**40)])
+def test_counts_whose_product_sizes_an_array_stay_in_numpys_index_range(count, value, dimension):
+    values = {"num_requests": 1, "num_clusters": 1, count: value}
+    with pytest.raises(ValueError, match=f"^{count} \\* dimension must be below 2\\*\\*60$"):
+        GeneratorConfig(**values, dimension=dimension)
+
+
+@pytest.mark.parametrize("dim", [2**54, 2**62])
+def test_a_cache_row_width_stays_in_numpys_index_range(dim):
+    # The first partition holds 64 rows: 2**60 float64 values at 2**54.
+    with pytest.raises(ValueError, match="^dim must be below 2\\*\\*54$"):
+        CacheState(E720, dim=dim)
 
 
 def test_a_seed_beyond_float_range_still_draws_a_trace():

@@ -176,16 +176,59 @@ def test_frontier_rejects_non_finite_targets(quality, budget, message):
         frontier_min_bandwidth(FRONTIER_SAMPLES, quality, budget)
 
 
+_HUGE = CacheCostParams(10**300, 10**300, 10**300, 0.08)  # every field in float range
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: comm_cost(DeficitParams(1, 1, 0, allreduce_factor=10**300, state_volume_gb=10**300)),
+     "comm_gb"),
+    (lambda: comm_cost(DeficitParams(10**300, 1, 0, deficit_bandwidth_factor=10**300)),
+     "comm_gb"),
+    (lambda: comm_cost(DeficitParams(1, 1, 0, allreduce_factor=1e308, state_volume_gb=10.0)),
+     "comm_gb"),
+    (lambda: _HUGE.full_cost_flops, "full_cost_flops"),
+    (lambda: expected_compute(_HUGE, PowerLaw(1.0, 0.5), 1.0), "full_cost_flops"),
+    (lambda: expected_compute(CacheCostParams(50, 1e308, 20, 0.08), PowerLaw(1.0, 0.5), 1.0),
+     "full_cost_flops"),
+    (lambda: expected_compute(CacheCostParams(50, 1e300, 20, 0.08),
+                              EmpiricalHitRate(((0.0, 0.5),)), 5e-324), "saved_flops_per_gb"),
+    # gamma * kappa overflows and the power underflows: inf * 0 is NaN.
+    (lambda: PowerLaw(1e308, 2.0).marginal_hit_rate(1.0), "marginal hit rate"),
+    (lambda: marginal_benefit(_HUGE, PowerLaw(1e308, 2.0), 0.0), "marginal hit rate"),
+    (lambda: marginal_benefit(_HUGE, ExponentialSaturation(1.0, 1.0), 0.0),
+     "marginal_flops_per_gb"),
+    (lambda: marginal_benefit(CacheCostParams(50, 1e300, 20, 1e-5),
+                              ExponentialSaturation(1e300, 1e-5), 0.0), "marginal_flops_per_gb"),
+])
+def test_a_result_beyond_float_range_is_a_value_error_that_names_it(call, name):
+    # Every field is in range; the result derived from them is not.
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call()
+
+
+def test_results_are_computed_in_float():
+    # A product of two ints in range is a float, as the annotations say,
+    # and a deficit whose devices hold more than float range is none.
+    assert memory_deficit(DeficitParams(0, 10**300, 10**300)) == 0.0
+    assert comm_cost(DeficitParams(0, 10**300, 10**300)) == 0.0
+    comm = comm_cost(DeficitParams(400, 2, 100, allreduce_factor=2, state_volume_gb=10))
+    assert type(comm) is float and comm == 20.0
+    cost = CacheCostParams(50, 10**9, 20, 2.0)
+    assert type(cost.full_cost_flops) is float and cost.full_cost_flops == 5e10
+    assert type(cost.reuse_savings_flops) is float and cost.reuse_savings_flops == 2e10
+
+
 def test_expected_compute_rejects_an_entry_count_beyond_float_range():
     cost = CacheCostParams(50, 1e9, 20, 0.08)
-    with pytest.raises(ValueError, match="beyond float range"):
+    with pytest.raises(ValueError, match="^entry_count must be finite$"):
         expected_compute(cost, EmpiricalHitRate(((0.0, 0.6),)), 1e308)
 
 
 @pytest.mark.parametrize("entry_size, message", [
     (0.0, "positive and finite"), (-0.08, "positive and finite"),
     (math.inf, "positive and finite"), (math.nan, "positive and finite"),
-    (5e-324, "out of range"), (1e308, "out of range"),
+    (5e-324, "beta fitted at this entry size must be finite"),
+    (1e308, "beta fitted at this entry size must be finite"),
 ])
 def test_exponential_fit_rejects_entry_sizes_that_leave_no_finite_beta(entry_size, message):
     points = [(0.32, 0.1), (0.64, 0.2), (1.28, 0.35)]
