@@ -27,6 +27,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._formats import DEFAULT_DIM, RESOLUTIONS
 from .errors import DimensionMismatch, EntryTooLarge, NonFiniteEmbedding, ZeroNormEmbedding
 from .errors import _number, _size
 
@@ -43,8 +44,6 @@ __all__ = [
     "CacheState",
 ]
 
-RESOLUTIONS: tuple[str, ...] = ("720p", "1080p", "2k")
-
 # Per-step latent footprints in bytes (GB = 1e9 bytes throughout).
 DEFAULT_LATENT_BYTES: dict[str, int] = {
     "720p": 16_000_000,
@@ -55,8 +54,6 @@ DEFAULT_LATENT_BYTES: dict[str, int] = {
 # Snapshot depths kept per entry; an entry's byte size is
 # len(stored_depths) * latent_bytes[resolution].
 DEFAULT_STORED_DEPTHS: tuple[int, ...] = (5, 10, 15, 20, 25)
-
-DEFAULT_DIM = 768
 
 _RES_CODE = {res: code for code, res in enumerate(RESOLUTIONS)}
 

@@ -14,6 +14,7 @@ machine-readable JSON object on stderr; 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -21,43 +22,44 @@ import sys
 from dataclasses import asdict
 from typing import NoReturn
 
-import numpy as np
-
 from . import __version__
-from .cache import DEFAULT_DIM, RESOLUTIONS
-from .errors import TradeoffError, _number
-from .models import (
-    CacheCostParams,
-    DeficitParams,
-    EmpiricalHitRate,
-    ExponentialSaturation,
-    HitRateModel,
-    PowerLaw,
-    RateComputeSample,
-    comm_cost,
-    expected_compute,
-    fit_hit_rate,
-    frontier_min_bandwidth,
-    marginal_benefit,
-    memory_deficit,
-)
-from .sim import (
+from ._formats import (
     CURVE_COLUMNS,
-    SimConfig,
-    read_curve_csv,
-    replay,
-    sweep,
-    write_curve_csv,
-)
-from .workload import (
-    GeneratorConfig,
+    DEFAULT_DIM,
+    RESOLUTIONS,
     _file_sha256,
     _read_float_csv,
     _write_text,
-    generate_trace,
-    load_trace,
-    save_trace,
+    read_curve_csv,
+    write_curve_csv,
 )
+from .errors import TradeoffError, _number
+
+# The library names the handlers call, by the module that holds them.
+# Each is bound into this module on first use (PEP 562), so that a launch
+# imports only the modules its command runs: the closed-form commands
+# never load numpy. A name already set here, such as a wrapper a test or
+# the benchmark's tracer puts in place before any command has run, is
+# kept. A name is bound as its module holds it then, so a caller that
+# patches both this module and the library module patches this one first.
+_LIBRARY = {
+    "models": (
+        "CacheCostParams", "DeficitParams", "EmpiricalHitRate", "ExponentialSaturation",
+        "HitRateModel", "PowerLaw", "RateComputeSample", "comm_cost", "expected_compute",
+        "fit_hit_rate", "frontier_min_bandwidth", "marginal_benefit", "memory_deficit",
+    ),
+    "sim": ("SimConfig", "replay", "sweep"),
+    "workload": ("GeneratorConfig", "generate_trace", "load_trace", "save_trace"),
+}
+_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_MODULE_OF[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
 
 SAMPLES_CSV_HEADER = "bandwidth_bpp,compute_flops,quality"
 
@@ -105,6 +107,8 @@ def _write_manifest(
     """Write ``<out_path>.manifest.json``; ``inputs`` maps each input
     path to the SHA-256 of the bytes the command read from it, and
     ``outputs`` maps ``out_path`` to ``digest``, that of the bytes written."""
+    import numpy as np  # loaded already by every command that writes a file
+
     doc = {
         "subcommand": subcommand,
         "parameters": parameters,
@@ -421,15 +425,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "deficit": _cmd_deficit,
-    "expected-compute": _cmd_expected_compute,
-    "marginal": _cmd_marginal,
-    "frontier": _cmd_frontier,
-    "gen": _cmd_gen,
-    "replay": _cmd_replay,
-    "sweep": _cmd_sweep,
-    "fit": _cmd_fit,
+# Each command's handler, and the modules whose names it calls.
+_COMMANDS = {
+    "deficit": (_cmd_deficit, ("models",)),
+    "expected-compute": (_cmd_expected_compute, ("models",)),
+    "marginal": (_cmd_marginal, ("models",)),
+    "frontier": (_cmd_frontier, ("models",)),
+    "gen": (_cmd_gen, ("workload",)),
+    "replay": (_cmd_replay, ("workload", "sim")),
+    "sweep": (_cmd_sweep, ("workload", "sim")),
+    "fit": (_cmd_fit, ("models",)),
 }
 
 
@@ -442,8 +447,12 @@ def _domain_error(error: str, e: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, modules = _COMMANDS[args.command]
+    for module in modules:
+        for name in _LIBRARY[module]:
+            __getattr__(name)
     try:
-        return _HANDLERS[args.command](args)
+        return handler(args)
     except TradeoffError as e:
         return _domain_error(type(e).__name__, e)
     except OSError as e:

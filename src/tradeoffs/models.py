@@ -25,9 +25,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DegeneratePoints,
@@ -36,6 +34,9 @@ from .errors import (
     NonDifferentiableModel,
     _number,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RateComputeSample",
@@ -236,6 +237,8 @@ class EmpiricalHitRate(HitRateModel):
         m = self._check_capacity(capacity_gb)
         caps = [p[0] for p in self.points]
         rates = [p[1] for p in self.points]
+        import numpy as np  # here, so that the closed forms launch without it
+
         return float(np.interp(m, caps, rates))
 
 
@@ -383,6 +386,9 @@ class FitResult:
     residual: float
 
 
+# Only the fits use numpy, and each function here imports it where it
+# runs, so that the closed forms above launch without it.
+
 # Power-law fitting is a deterministic grid search plus local refinement,
 # not a general nonlinear solver: 64 log-spaced kappa candidates around
 # 1/median(capacity), then 20 step-halving passes.
@@ -394,6 +400,8 @@ _REFINEMENT_HALVINGS = 20
 def _validate_fit_points(
     points: Sequence[tuple[float, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     name = "capacities and hit rates"
     caps = np.asarray([_number(m, name) for m, _ in points], dtype=float)
     rates = np.asarray([_number(h, name) for _, h in points], dtype=float)
@@ -415,6 +423,8 @@ def _validate_fit_points(
 
 
 def _fit_exponential(caps, rates, entry_size_gb: float) -> ExponentialSaturation:
+    import numpy as np
+
     # ln(1 - h) = -beta * M / s_e is linear through the origin. An entry
     # size that puts M / s_e out of float range leaves no finite beta.
     y = np.log1p(-rates)
@@ -427,6 +437,8 @@ def _fit_exponential(caps, rates, entry_size_gb: float) -> ExponentialSaturation
 
 
 def _power_law_gamma(caps, y, kappa: float) -> float:
+    import numpy as np
+
     # With kappa fixed, ln(1 - h) = -gamma * ln(1 + kappa M) is linear
     # through the origin in u = ln(1 + kappa M).
     u = np.log1p(kappa * caps)
@@ -434,6 +446,8 @@ def _power_law_gamma(caps, y, kappa: float) -> float:
 
 
 def _power_law_residual(caps, rates, kappa: float, gamma: float) -> float:
+    import numpy as np
+
     fitted = 1.0 - (1.0 + kappa * caps) ** (-gamma)
     return float(np.sqrt(np.mean((fitted - rates) ** 2)))
 
@@ -441,12 +455,16 @@ def _power_law_residual(caps, rates, kappa: float, gamma: float) -> float:
 def _median(values: np.ndarray) -> float:
     """``float(np.median(values))`` of finite values, bit for bit, without
     the numpy.ma import of np.median's first call."""
+    import numpy as np
+
     ordered = np.sort(values).tolist()
     mid = len(ordered) // 2
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _fit_power_law(caps, rates) -> tuple[PowerLaw, float]:
+    import numpy as np
+
     y = np.log1p(-rates)
     scale = 1.0 / _median(caps)
 
@@ -510,6 +528,8 @@ def fit_hit_rate(
     and finite, an unsupported family, or an exponential fit that leaves
     no finite beta.
     """
+    import numpy as np
+
     caps, rates = _validate_fit_points(points)
     _number(entry_size_gb, "entry_size_gb", 0, above=True)
     if family is ExponentialSaturation:

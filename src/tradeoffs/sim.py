@@ -16,12 +16,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import IO, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._forkmap import fork_map
+from ._formats import CurvePoint, curve_to_csv, read_curve_csv, write_curve_csv
 from .cache import (
     DEFAULT_LATENT_BYTES,
     DEFAULT_POLICY,
@@ -34,8 +34,10 @@ from .cache import (
     _whole_bytes,
 )
 from .errors import EntryTooLarge, _number
-from .models import FitResult, HitRateModel, fit_hit_rate
-from .workload import Trace, _read_float_csv, _write_text
+from .workload import Trace
+
+if TYPE_CHECKING:
+    from .models import FitResult, HitRateModel
 
 __all__ = [
     "SimConfig",
@@ -50,9 +52,6 @@ __all__ = [
     "write_curve_csv",
     "read_curve_csv",
 ]
-
-GB = 1e9
-
 
 def _default_step_costs() -> dict[str, float]:
     return {res: 1e9 for res in DEFAULT_LATENT_BYTES}
@@ -204,8 +203,9 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     insert. Entries that alone exceed the cache budget yield the
     "too_large" outcome: a miss with no insert. Set ``keep_records``
     False to skip the per-request log in long sweeps. A trace whose
-    full cost overflows float range is a ``ValueError``; an embedding
-    that ``normalize`` rejects raises its error before the first request.
+    full cost overflows float range is a ``ValueError``, as is one with a
+    request whose own full cost does; an embedding that ``normalize``
+    rejects raises its error before the first request.
     """
     # Checked here, once per replay, not kept on the trace: its array may
     # have been made writable and changed since the last replay.
@@ -224,13 +224,19 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
     total_saved = 0.0
     total_full = 0.0
     peak = 0
+    # One request's full cost at each resolution the trace uses, checked
+    # once: it bounds what any one request adds to a total, so no sum below
+    # meets an int beyond float range.
+    full_cost = {res: _number(config.total_steps * config.step_cost_by_resolution[res],
+                              "total_full_flops")
+                 for res in dict.fromkeys(trace.resolutions)}
     # Bound once per replay: every call still goes through whatever
     # CacheState.lookup/insert are when the replay starts, wrappers included.
     lookup, insert = cache.lookup, cache.insert
 
     for rid, emb, res in zip(trace.request_ids, rows, trace.resolutions):
         step_cost = config.step_cost_by_resolution[res]
-        total_full += config.total_steps * step_cost
+        total_full += full_cost[res]
 
         found = lookup(emb, res)
         evicted: tuple[int, ...] = ()
@@ -293,31 +299,6 @@ def replay(trace: Trace, config: SimConfig, keep_records: bool = True) -> Replay
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One sweep row; saved/expected FLOPs are trace totals.
-
-    Raises ``ValueError`` for a capacity that is negative or not finite,
-    a hit rate outside [0, 1], or FLOPs that are not finite.
-    """
-
-    capacity_bytes: int
-    hit_rate: float
-    saved_flops: float
-    expected_cost_flops: float
-
-    def __post_init__(self):
-        _number(self.capacity_bytes, "capacity", 0)
-        if not 0.0 <= self.hit_rate <= 1.0:
-            raise ValueError("hit rate must lie in [0, 1]")
-        _number(self.saved_flops, "saved_flops")
-        _number(self.expected_cost_flops, "expected_cost_flops")
-
-    @property
-    def capacity_gb(self) -> float:
-        return self.capacity_bytes / GB
-
-
 def _sweep_point(trace: Trace, config: SimConfig, capacity: int) -> CurvePoint:
     report = replay(trace, config.with_capacity(capacity), keep_records=False)
     s = report.summary
@@ -360,44 +341,8 @@ def fit_curve(
     entry_size_gb: float = 1.0,
 ) -> FitResult:
     """Fit a hit-rate family to sweep output; see ``fit_hit_rate``."""
+    from .models import fit_hit_rate  # only a fit needs the models and numpy
+
     points = [(p.capacity_gb, p.hit_rate) for p in curve]
     return fit_hit_rate(points, family, entry_size_gb=entry_size_gb)
 
-
-# ---------------------------------------------------------------------------
-# Curve CSV
-# ---------------------------------------------------------------------------
-
-# The attributes of a CurvePoint that the CSV and ``tradeoffs sweep`` write.
-CURVE_COLUMNS = ("capacity_gb", "hit_rate", "saved_flops", "expected_cost_flops")
-CURVE_CSV_HEADER = ",".join(CURVE_COLUMNS)
-
-
-def curve_to_csv(curve: Sequence[CurvePoint]) -> str:
-    """Render sweep rows as CSV with shortest-round-trip floats."""
-    lines = [CURVE_CSV_HEADER]
-    for p in curve:
-        lines.append(",".join(repr(getattr(p, name)) for name in CURVE_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def write_curve_csv(curve: Sequence[CurvePoint], dest: str | os.PathLike | IO) -> str | None:
-    """Write ``curve_to_csv(curve)`` to a path or text stream; return the
-    SHA-256 (hex) of the bytes written to a path, or None for a stream."""
-    return _write_text(dest, curve_to_csv(curve))
-
-
-def _curve_row(cap_gb: float, hit: float, saved: float, cost: float) -> CurvePoint:
-    # A capacity finite in GB can leave float range in bytes.
-    return CurvePoint(round(_number(cap_gb * GB, "capacity_bytes")), hit, saved, cost)
-
-
-def read_curve_csv(source: str | os.PathLike | IO) -> list[CurvePoint]:
-    """Parse curve CSV back into points; inverse of ``curve_to_csv``.
-
-    Raises :class:`ParseError` with its line number for a wrong header,
-    a row without exactly four values, a value that is not a finite
-    number, a negative capacity or one too large to count in bytes, or a
-    hit rate outside [0, 1].
-    """
-    return _read_float_csv(source, CURVE_CSV_HEADER, _curve_row)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import numbers
@@ -31,12 +30,13 @@ import threading
 import zipfile
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import IO, Callable, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from ._forkmap import fork_map, fork_workers
-from .cache import _RES_CODE, _UNIT_TOL, DEFAULT_DIM, RESOLUTIONS
+from ._formats import DEFAULT_DIM, RESOLUTIONS, _file_sha256, _lines, _opened, _write_text
+from .cache import _RES_CODE, _UNIT_TOL
 from .errors import (
     DimensionMismatch,
     NonFiniteEmbedding,
@@ -190,15 +190,6 @@ class GeneratorConfig:
         object.__setattr__(self, "resolution_mix", mix)
 
 
-def _opened(source):
-    """A context manager over ``source``: a path is opened for reading as
-    bytes and closed on exit; a stream is used as is and left open."""
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "rb")
-    return contextlib.nullcontext(source)
-
-
-_NOT_UTF8 = "not valid UTF-8"
 _JSON_NUMBERS = frozenset({int, float})
 # Trace I/O runs in one share per CPU once a trace holds more embedding
 # values than this. Splitting costs about 11 ms (formatting) to 14 ms
@@ -214,89 +205,6 @@ _BYTES_PER_VALUE = 20
 def _share_count(values: int) -> int:
     """How many shares to split the I/O of ``values`` embedding values into."""
     return fork_workers() if values > _SPLIT_MIN_VALUES else 1
-
-
-def _lines(stream, size: float = math.inf) -> Iterator[tuple[int, str]]:
-    """The lines of ``stream`` as text, numbered from 1; of a binary
-    stream, only those in its next ``size`` bytes. Bytes are split where
-    universal newlines split text (no UTF-8 sequence holds a CR or LF
-    byte), and each line is decoded as strict UTF-8 on its own: one that
-    does not decode is a :class:`ParseError` on its line. A text stream
-    decodes itself, reading ahead, so its decode error names no line."""
-    lineno = 0
-    try:
-        for chunk in stream:
-            # Most lines hold no CR, and splitlines would copy them.
-            lines = chunk.splitlines() if isinstance(chunk, bytes) and b"\r" in chunk else (chunk,)
-            for line in lines:
-                lineno += 1
-                try:
-                    yield lineno, line if isinstance(line, str) else line.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ParseError(_NOT_UTF8, line_number=lineno) from None
-            size -= len(chunk)
-            if size <= 0:
-                return
-    except UnicodeDecodeError:  # from a text stream's decoder
-        raise ParseError(_NOT_UTF8) from None
-
-
-# Text is written in slices of this many characters, so a path's encoder
-# never holds a second, encoded copy of a whole trace.
-_WRITE_SLICE = 1 << 20
-
-
-def _write_text(dest: str | os.PathLike | IO, text: str) -> str | None:
-    """Write ``text`` to a text stream, or to a path as UTF-8; for a path,
-    return the SHA-256 (hex) of the bytes written."""
-    slices = (text[start : start + _WRITE_SLICE] for start in range(0, len(text), _WRITE_SLICE))
-    if not isinstance(dest, (str, os.PathLike)):
-        dest.writelines(slices)
-        return None
-    digest = hashlib.sha256()
-    with open(dest, "wb") as f:
-        for part in slices:
-            data = part.encode("utf-8")
-            digest.update(data)
-            f.write(data)
-    return digest.hexdigest()
-
-
-def _read_float_csv(source: str | os.PathLike | IO, header: str, record: Callable) -> list:
-    """``record(*values)`` for each row of a CSV of finite numbers under
-    the exact line ``header``.
-
-    Lines are read as ``_lines`` reads them, and blank ones are skipped.
-    Raises :class:`ParseError` with the 1-based physical line number for
-    a line that is not UTF-8, a missing or wrong header, a row whose
-    column count differs from the header's, a value that is not a
-    finite number, or a row that ``record`` rejects with ``ValueError``.
-    """
-    width = header.count(",") + 1
-    records = []
-    with _opened(source) as stream:
-        lines = ((n, ln.strip()) for n, ln in _lines(stream) if ln.strip())
-        lineno, first = next(lines, (1, ""))
-        if first != header:
-            raise ParseError(f"expected header {header!r}", line_number=lineno)
-        for lineno, line in lines:
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ParseError(
-                    f"expected {width} comma-separated values, got {len(parts)}",
-                    line_number=lineno,
-                )
-            try:
-                row = [float(v) for v in parts]
-            except ValueError:
-                raise ParseError("non-numeric value", line_number=lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise ParseError("values must be finite", line_number=lineno)
-            try:
-                records.append(record(*row))
-            except ValueError as e:  # a finite value out of its column's range
-                raise ParseError(str(e), line_number=lineno) from None
-    return records
 
 
 class _Records:
@@ -439,15 +347,6 @@ def _parse_file(path) -> Trace:
             return _read_range(path, 0, size).trace()
         records.extend(part)
     return records.trace()
-
-
-def _file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    buf = bytearray(1 << 20)
-    with open(path, "rb", buffering=0) as f:
-        while n := f.readinto(buf):
-            digest.update(memoryview(buf)[:n])
-    return digest.hexdigest()
 
 
 # ``save_trace`` keeps the columns of a trace it writes to a path in a

@@ -560,6 +560,18 @@ def test_flop_totals_that_overflow_are_usage_errors_that_write_nothing(
         assert not (tmp_path / f"{out}.manifest.json").exists()
 
 
+def test_an_empty_trace_replays_at_any_step_cost(tmp_path, capsys, monkeypatch):
+    # Its full cost is 0.0, however far one request's full cost overflows.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.jsonl").write_bytes(b"")
+    code, stdout, _ = run(capsys, "replay", "--trace", "t.jsonl", "--capacity", "1GB",
+                          "--step-cost", "1e307")
+    assert code == 0 and json.loads(stdout)["summary"]["total_full_flops"] == 0.0
+    code, stdout, _ = run(capsys, "sweep", "--trace", "t.jsonl", "--capacities", "1GB",
+                          "--step-cost", "1e307", "--out", "c.csv")
+    assert code == 0 and json.loads(stdout)[0]["expected_cost_flops"] == 0.0
+
+
 def test_fit_recovers_from_csv(tmp_path, capsys):
     from tradeoffs import CurvePoint
 
@@ -691,29 +703,86 @@ def test_a_norm_that_overflows_is_one_json_error_line(tmp_path):
                                 "message": "request 'x' has a non-finite norm"}
 
 
+# Runs the CLI on its argv, then prints the exit code and the watched
+# modules that the launch imported.
 _PRINT_IMPORTS = (
-    "import sys; from tradeoffs.cli import main; code = main(); "
-    "print(code, *(m in sys.modules for m in "
-    "('multiprocessing', 'numpy.ma', 'tradeoffs._floatrepr')))"
+    "import sys\n"
+    "try:\n"
+    "    from tradeoffs.cli import main\n"
+    "    code = main()\n"
+    "except SystemExit as e:\n"
+    "    code = e.code\n"
+    "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'tradeoffs' "
+    "or m in ('numpy', 'numpy.ma', 'multiprocessing')))"
 )
+_CLI = ["tradeoffs", "tradeoffs._formats", "tradeoffs.cli", "tradeoffs.errors"]
+_MODELS = [*_CLI, "tradeoffs.models"]
+_TRACES = ["numpy", *_CLI, "tradeoffs._forkmap", "tradeoffs.cache", "tradeoffs.workload"]
+_REPLAY = [*_TRACES, "tradeoffs.sim"]
 
 
-def test_replay_and_fit_never_import_multiprocessing(tmp_path):
-    trace_path = tmp_path / "t.jsonl"
+@pytest.mark.parametrize("argv, code, modules", [
+    (["--help"], 0, _CLI),
+    (["--version"], 0, _CLI),
+    (["fit", "--curve", "curve.csv"], 2, _CLI),
+    (["deficit", "--total", "400", "--devices", "2", "--per-device", "100", "--k", "0.5"],
+     0, _MODELS),
+    (["expected-compute", "--reuse", "20", "--capacity", "1", "--model", "exp", "--beta", "0.04"],
+     0, _MODELS),
+    (["marginal", "--reuse", "20", "--capacity", "1", "--model", "power", "--kappa", "2",
+      "--gamma", "0.5"], 0, _MODELS),
+    (["frontier", "--samples", "samples.csv", "--quality", "0.9", "--budget", "1.4e10"],
+     0, _MODELS),
+    (["fit", "--curve", "curve.csv", "--family", "power"], 0, ["numpy", *_MODELS]),
+    (["fit", "--curve", "curve.csv", "--family", "exp"], 0, ["numpy", *_MODELS]),
+    (["gen", "--out", "g.jsonl", "--n", "50", "--clusters", "3", "--dim", "8"],
+     0, [*_TRACES, "tradeoffs._floatrepr"]),
+    (["replay", "--trace", "t.jsonl", "--capacity", "160MB", "--out", "rep.json",
+      "--records", "recs.jsonl"], 0, _REPLAY),
+    (["sweep", "--trace", "t.jsonl", "--capacities", "80MB,160MB,320MB", "--jobs", "2",
+      "--out", "c.csv"], 0, ["multiprocessing", *_REPLAY]),
+], ids=["help", "version", "usage", "deficit", "expected-compute", "marginal", "frontier",
+        "fit-power", "fit-exp", "gen", "replay", "sweep"])
+def test_a_launch_imports_only_what_its_command_runs(tmp_path, argv, code, modules):
+    # Only a sweep imports multiprocessing, to count its workers, only gen
+    # the trace float formatter, and none numpy.ma; the closed-form
+    # commands never import numpy.
     save_trace(generate_trace(GeneratorConfig(num_requests=60, num_clusters=5,
                                               dimension=8, noise_sigma=0.01, seed=2)),
-               trace_path)
-    curve = tmp_path / "curve.csv"
-    write_curve_csv(sweep(load_trace(trace_path), SimConfig(capacity_bytes=0),
-                          [E720, 2 * E720, 4 * E720]), curve)
-    # Nor do they import numpy.ma (fit) or the trace float formatter.
-    for argv in (["replay", "--trace", str(trace_path), "--capacity", "160MB",
-                  "--out", "rep.json", "--records", "recs.jsonl"],
-                 ["fit", "--curve", str(curve), "--family", "power"],
-                 ["fit", "--curve", str(curve), "--family", "exp"]):
-        code, out, err, _ = _launch(tmp_path / f"{argv[0]}-{argv[-1]}",
-                                    ["-c", _PRINT_IMPORTS], argv)
-        assert (code, out.split()[-4:], err) == (0, [b"0", b"False", b"False", b"False"], b"")
+               tmp_path / "t.jsonl")
+    write_curve_csv(sweep(load_trace(tmp_path / "t.jsonl"), SimConfig(capacity_bytes=0),
+                          [E720, 2 * E720, 4 * E720]), tmp_path / "curve.csv")
+    (tmp_path / "samples.csv").write_text(
+        "bandwidth_bpp,compute_flops,quality\n0.15,1e9,0.9\n0.075,1.4e10,0.9\n")
+    argv = [str(tmp_path / a) if a in ("t.jsonl", "curve.csv", "samples.csv") else a
+            for a in argv]
+    status, out, err, _ = _launch(tmp_path / "run", ["-c", _PRINT_IMPORTS], argv)
+    assert status == 0 and (code == 2) == bool(err), err
+    assert out.decode().splitlines()[-1].split() == [str(code), *sorted(modules)]
+
+
+# Patches a library name before cli has used it, in the orders the tests
+# and the tracer use, then undoes them: cli must keep the originals. The
+# file hash is bound from _formats as cli is imported, so either order
+# holds; a lazily bound name holds when cli is patched first.
+_PATCH_FRESH = """
+import pytest
+import tradeoffs._formats as formats, tradeoffs.cli as cli
+import tradeoffs.sim as sim, tradeoffs.workload as workload
+replay = sim.replay
+with pytest.MonkeyPatch.context() as m:
+    m.setattr(workload, "_file_sha256", len)
+    m.setattr(cli, "_file_sha256", len)
+    m.setattr(cli, "replay", len)
+    m.setattr(sim, "replay", len)
+assert cli._file_sha256 is workload._file_sha256 is formats._file_sha256
+assert cli.replay is sim.replay is replay
+"""
+
+
+def test_a_patch_made_before_cli_runs_is_undone_on_cli(tmp_path):
+    code, _, err, _ = _launch(tmp_path / "run", ["-c", _PATCH_FRESH], [])
+    assert code == 0, err.decode()
 
 
 def test_gen_imports_the_float_formatter_once(tmp_path):

@@ -44,7 +44,9 @@ def test_the_public_names_still_import_from_the_package():
     assert not hasattr(tradeoffs, "reuse_depth")
 
 
-def test_import_loads_the_same_modules_and_numpy():
+def test_import_loads_only_the_package():
+    # Each name is resolved on first use; the launch of each command is
+    # pinned in test_cli.py.
     code = ("import sys, tradeoffs; "
             "print(sorted(m for m in sys.modules if m.startswith('tradeoffs')), "
             "'numpy' in sys.modules)")
@@ -52,8 +54,14 @@ def test_import_loads_the_same_modules_and_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
-    assert out == ("['tradeoffs', 'tradeoffs._forkmap', 'tradeoffs.cache', 'tradeoffs.errors', "
-                   "'tradeoffs.models', 'tradeoffs.sim', 'tradeoffs.workload'] True\n")
+    assert out == "['tradeoffs'] False\n"
+
+
+def test_the_lazy_names_are_the_modules_names():
+    assert set(PUBLIC_NAMES) | {"cache", "errors", "models", "sim", "workload"} <= set(dir(tradeoffs))
+    assert tradeoffs.sim is sim
+    with pytest.raises(AttributeError, match="has no attribute 'reuse_depth'"):
+        tradeoffs.reuse_depth
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"

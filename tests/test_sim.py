@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +149,27 @@ def test_replay_whose_flop_totals_overflow_is_a_value_error(step_cost, total_ste
     if fits:
         summary = replay(identical_trace(fits), config).summary
         assert summary.total_full_flops == fits * total_steps * step_cost < float("inf")
+
+
+def test_a_request_cost_beyond_float_range_is_a_value_error_not_an_overflow():
+    # int steps and costs whose product is an int beyond float range
+    config = SimConfig(10**9, total_steps=10**300,
+                       step_cost_by_resolution=dict.fromkeys(RESOLUTIONS, 10**300))
+    with pytest.raises(ValueError, match="^total_full_flops must be finite$"):
+        replay(identical_trace(3), config)
+    with pytest.raises(ValueError, match="^total_full_flops must be finite$"):
+        sweep(identical_trace(3), config, [0, E720], jobs=1)
+    # In range, the totals are the sums the loop always made. A cost at a
+    # resolution no request has adds nothing, so it is not checked.
+    config = replace(config, step_cost_by_resolution={**config.step_cost_by_resolution,
+                                                      "720p": 3})
+    total = 0.0
+    for _ in range(3):
+        total += 10**300 * 3
+    assert replay(identical_trace(3), config).summary.total_full_flops == total
+    empty = Trace([], [], [], np.zeros((0, 16)))
+    assert replay(empty, config).summary.total_full_flops == 0.0
+    assert [p.expected_cost_flops for p in sweep(empty, config, [0, E720], jobs=1)] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1])
@@ -534,6 +558,47 @@ def test_cli_stages_make_the_calls_the_benchmark_wraps(monkeypatch, tmp_path, ca
         calls.clear()
         assert cli.main(argv) == 0
         assert calls == expected
+
+
+# The benchmark's tracer wraps its names in a process that has imported
+# tradeoffs.cli but run no command, so none of the handlers' names is bound
+# yet; a name bound at its first call would bypass the wrapper.
+_TRACE_FRESH = """
+import json, sys
+import tradeoffs.cli as cli
+assert "tradeoffs.sim" not in sys.modules and "tradeoffs.models" not in sys.modules
+import tradeoffs.sim as sim, tradeoffs.workload as workload
+calls = []
+def wrap(owner, name):
+    def wrapper(*args, _call=getattr(owner, name), **kw):
+        calls.append(owner.__name__.removeprefix("tradeoffs.") + "." + name)
+        return _call(*args, **kw)
+    setattr(owner, name, wrapper)
+for owner, name in [(cli, "generate_trace"), (cli, "save_trace"), (workload, "serialize_trace"),
+                    (cli, "load_trace"), (cli, "replay"), (sim, "replay"), (cli, "sweep"),
+                    (cli, "write_curve_csv"), (cli, "read_curve_csv"), (cli, "fit_hit_rate")]:
+    wrap(owner, name)
+trace, curve = sys.argv[1:]
+codes = [cli.main(["gen", "--out", trace, "--n", "300", "--clusters", "5", "--dim", "8"]),
+         cli.main(["sweep", "--trace", trace, "--capacities", "80MB,160MB,320MB", "--jobs", "1",
+                   "--out", curve]),
+         cli.main(["fit", "--curve", curve, "--family", "power"])]
+print(json.dumps([codes, calls]))
+"""
+
+
+def test_the_tracers_wrappers_fire_when_set_before_any_command(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _TRACE_FRESH, str(tmp_path / "t.jsonl"),
+                           str(tmp_path / "c.csv")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert calls == ["cli.generate_trace", "cli.save_trace", "workload.serialize_trace",
+                     "cli.load_trace", "cli.sweep", *["sim.replay"] * 3,
+                     "cli.write_curve_csv", "cli.read_curve_csv", "cli.fit_hit_rate"]
 
 
 # ---------------------------------------------------------------------------
