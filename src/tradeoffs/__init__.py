@@ -19,7 +19,9 @@ ties between identical embeddings may be decided by row position rather
 than recency, because the BLAS rounding of a similarity can depend on
 where its row sits in the matrix.
 
-The package resolves its names on first use (PEP 562): ``import
+The package resolves its names on first use (PEP 562) from ``_EXPORTS``,
+the one table of public names by module, which also gives each module
+its ``__all__`` and :mod:`tradeoffs.cli` the names it binds: ``import
 tradeoffs`` imports no submodule, and ``tradeoffs.memory_deficit`` (or
 ``from tradeoffs import memory_deficit``) imports only the module that
 defines the name, here :mod:`tradeoffs.models`, which loads numpy only

@@ -27,22 +27,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from ._formats import DEFAULT_DIM, RESOLUTIONS
 from .errors import DimensionMismatch, EntryTooLarge, NonFiniteEmbedding, ZeroNormEmbedding
 from .errors import _number, _size
 
-__all__ = [
-    "RESOLUTIONS",
-    "DEFAULT_LATENT_BYTES",
-    "DEFAULT_STORED_DEPTHS",
-    "DEFAULT_POLICY",
-    "DEFAULT_DIM",
-    "normalize",
-    "ReuseDepthPolicy",
-    "CacheEntry",
-    "LookupResult",
-    "CacheState",
-]
+__all__ = list(_EXPORTS["cache"])
 
 # Per-step latent footprints in bytes (GB = 1e9 bytes throughout).
 DEFAULT_LATENT_BYTES: dict[str, int] = {

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict
 from typing import NoReturn
 
-from . import __version__
+from . import _EXPORTS, _MODULE_OF, __version__
 from ._formats import (
     CURVE_COLUMNS,
     DEFAULT_DIM,
@@ -35,25 +35,14 @@ from ._formats import (
 )
 from .errors import TradeoffError, _number
 
-# The library names the handlers call, by the module that holds them.
-# Each is bound into this module on first use (PEP 562), so that a launch
+# The package's public names that the handlers call are bound here on
+# first use (PEP 562), from the module that defines each, so a launch
 # imports only the modules its command runs: the closed-form commands
 # never load numpy. A name already set here, such as a wrapper a test or
 # the benchmark's tracer puts in place before any command has run, is
-# kept. A name is bound as its module holds it then, so a caller that
-# patches both this module and the library module patches this one first.
-_LIBRARY = {
-    "models": (
-        "CacheCostParams", "DeficitParams", "EmpiricalHitRate", "ExponentialSaturation",
-        "HitRateModel", "PowerLaw", "RateComputeSample", "comm_cost", "expected_compute",
-        "fit_hit_rate", "frontier_min_bandwidth", "marginal_benefit", "memory_deficit",
-    ),
-    "sim": ("SimConfig", "replay", "sweep"),
-    "workload": ("GeneratorConfig", "generate_trace", "load_trace", "save_trace"),
-}
-_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
-
-
+# kept. A name is bound as its module holds it then, not as the package
+# caches it, so a caller that patches both this module and the library
+# module patches this one first.
 def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -449,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler, modules = _COMMANDS[args.command]
     for module in modules:
-        for name in _LIBRARY[module]:
+        for name in _EXPORTS[module]:
             __getattr__(name)
     try:
         return handler(args)

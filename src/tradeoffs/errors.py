@@ -7,18 +7,9 @@ machine-readable ``error`` field in CLI error output.
 
 import math
 
-__all__ = [
-    "TradeoffError",
-    "Infeasible",
-    "NegativeCapacity",
-    "NonDifferentiableModel",
-    "DegeneratePoints",
-    "DimensionMismatch",
-    "ZeroNormEmbedding",
-    "NonFiniteEmbedding",
-    "ParseError",
-    "EntryTooLarge",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class TradeoffError(Exception):

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from . import _EXPORTS
 from .errors import (
     DegeneratePoints,
     Infeasible,
@@ -38,24 +39,7 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "RateComputeSample",
-    "DeficitParams",
-    "CacheCostParams",
-    "HitRateModel",
-    "ExponentialSaturation",
-    "PowerLaw",
-    "EmpiricalHitRate",
-    "FrontierResult",
-    "CacheEconomics",
-    "FitResult",
-    "memory_deficit",
-    "comm_cost",
-    "frontier_min_bandwidth",
-    "expected_compute",
-    "marginal_benefit",
-    "fit_hit_rate",
-]
+__all__ = list(_EXPORTS["models"])
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +191,10 @@ class PowerLaw(HitRateModel):
 
     def marginal_hit_rate(self, capacity_gb: float) -> float:
         m = self._check_capacity(capacity_gb)
-        # Where gamma * kappa overflows, the power can underflow to 0: inf * 0 is NaN.
-        slope = self.gamma * self.kappa * (1.0 + self.kappa * m) ** (-self.gamma - 1.0)
+        power = (1.0 + self.kappa * m) ** (-self.gamma - 1.0)
+        slope = self.gamma * self.kappa * power
+        if not math.isfinite(slope):  # gamma * kappa overflowed: scale kappa by the power first
+            slope = self.gamma * (self.kappa * power)
         return _number(slope, "marginal hit rate")
 
 
@@ -288,12 +274,10 @@ def frontier_min_bandwidth(
     them. Ties on bandwidth are broken toward lower compute, then input
     order.
 
-    Raises :class:`Infeasible` when no sample satisfies both constraints,
-    and ``ValueError`` for a non-finite quality target or a budget that is
-    negative or not finite.
+    Raises :class:`Infeasible` when no sample satisfies both constraints
+    (as when there are none), and ``ValueError`` for a non-finite quality
+    target or a budget that is negative or not finite.
     """
-    if not samples:
-        raise ValueError("samples must be non-empty")
     _number(quality_target, "quality target")
     _number(compute_budget_flops, "compute budget", 0)
     best: FrontierResult | None = None

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from . import _EXPORTS
 from ._forkmap import fork_map
 from ._formats import CurvePoint, curve_to_csv, read_curve_csv, write_curve_csv
 from .cache import (
@@ -39,19 +40,8 @@ from .workload import Trace
 if TYPE_CHECKING:
     from .models import FitResult, HitRateModel
 
-__all__ = [
-    "SimConfig",
-    "PerRequestRecord",
-    "ReplaySummary",
-    "ReplayReport",
-    "CurvePoint",
-    "replay",
-    "sweep",
-    "fit_curve",
-    "curve_to_csv",
-    "write_curve_csv",
-    "read_curve_csv",
-]
+__all__ = list(_EXPORTS["sim"])
+
 
 def _default_step_costs() -> dict[str, float]:
     return {res: 1e9 for res in DEFAULT_LATENT_BYTES}

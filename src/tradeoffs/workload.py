@@ -34,6 +34,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from ._forkmap import fork_map, fork_workers
 from ._formats import DEFAULT_DIM, RESOLUTIONS, _file_sha256, _lines, _opened, _write_text
 from .cache import _RES_CODE, _UNIT_TOL
@@ -47,14 +48,7 @@ from .errors import (
     _size,
 )
 
-__all__ = [
-    "Trace",
-    "GeneratorConfig",
-    "load_trace",
-    "serialize_trace",
-    "save_trace",
-    "generate_trace",
-]
+__all__ = list(_EXPORTS["workload"])
 
 
 class Trace:

@@ -78,17 +78,10 @@ class RefCache:
         return evicted
 
 
-def ref_replay(requests, capacity_bytes, entry_size, bands=DEPTH_BANDS,
+def _ref_steps(requests, capacity_bytes, entry_size, bands=DEPTH_BANDS,
                same_res=True, insert_on_hit=False):
-    """Replay (embedding, resolution) pairs; returns per-request tuples.
-
-    ``entry_size`` is the size of every entry, or a dict of sizes by
-    resolution. Each tuple is (outcome, depth, matched_id, evicted_ids).
-    Entries that alone exceed capacity give outcome "too_large" with no
-    insert.
-    """
+    """Yield (outcome, depth, matched_id, evicted_ids, occupied_bytes) per request."""
     cache = RefCache(capacity_bytes, bands, same_res)
-    out = []
     for emb, res in requests:
         size = entry_size[res] if isinstance(entry_size, dict) else entry_size
         looked = cache.lookup(emb, res)
@@ -105,5 +98,44 @@ def ref_replay(requests, capacity_bytes, entry_size, bands=DEPTH_BANDS,
                 outcome = "too_large"
             else:
                 evicted = ev
-        out.append((outcome, looked["depth"], looked["matched"], tuple(evicted)))
-    return out
+        yield outcome, looked["depth"], looked["matched"], tuple(evicted), cache.occupied()
+
+
+def ref_replay(requests, capacity_bytes, entry_size, **options):
+    """Replay (embedding, resolution) pairs; returns per-request tuples.
+
+    ``entry_size`` is the size of every entry, or a dict of sizes by
+    resolution. Each tuple is (outcome, depth, matched_id, evicted_ids).
+    Entries that alone exceed capacity give outcome "too_large" with no
+    insert. ``options`` are ``bands``, ``same_res`` and ``insert_on_hit``.
+    """
+    return [step[:4] for step in _ref_steps(requests, capacity_bytes, entry_size, **options)]
+
+
+def ref_summary(requests, capacity_bytes, entry_size, step_cost, total_steps=50, **options):
+    """The replay's accounting, summed in request order, as a dict of the
+    fields of a replay summary. ``step_cost`` maps each resolution to its
+    FLOPs per denoising step; a hit saves its depth in steps."""
+    hits = depth_sum = evictions = peak = 0
+    saved = full = 0.0
+    steps = _ref_steps(requests, capacity_bytes, entry_size, **options)
+    for (outcome, depth, _, evicted, occupied), (_, res) in zip(steps, requests):
+        full += total_steps * step_cost[res]
+        if outcome == "hit":
+            hits += 1
+            depth_sum += depth
+            saved += depth * step_cost[res]
+        evictions += len(evicted)
+        peak = max(peak, occupied)
+    n = len(requests)
+    return {
+        "requests": n,
+        "hits": hits,
+        "hit_rate": hits / n if n else 0.0,
+        "mean_depth_over_hits": depth_sum / hits if hits else 0.0,
+        "total_saved_flops": saved,
+        "total_full_flops": full,
+        "expected_cost_flops": full - saved,
+        "peak_occupied_bytes": peak,
+        "evictions": evictions,
+    }

@@ -154,11 +154,12 @@ def test_frontier_subcommand(tmp_path, capsys):
 
 def test_frontier_infeasible_exit_code(tmp_path, capsys):
     samples = tmp_path / "s.csv"
-    samples.write_text("bandwidth_bpp,compute_flops,quality\n0.15,1e9,0.9\n")
-    code, out, err = run(capsys, "frontier", "--samples", str(samples),
-                         "--quality", "0.9", "--budget", "1e8")
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "Infeasible"
+    for rows in ("0.15,1e9,0.9\n", ""):  # a header alone is no samples
+        samples.write_text("bandwidth_bpp,compute_flops,quality\n" + rows)
+        code, out, err = run(capsys, "frontier", "--samples", str(samples),
+                             "--quality", "0.9", "--budget", "1e8")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "Infeasible"
 
 
 @pytest.mark.parametrize("flag, value", [("--quality", "nan"), ("--budget", "nan"),
@@ -309,9 +310,6 @@ def test_an_exponential_rate_beyond_float_range_is_a_usage_error_that_names_it(c
     ("expected-compute --steps 50 --step-cost 1e308 --reuse 20 --hit 0.5", "full_cost_flops"),
     ("expected-compute --steps 50 --step-cost 1e300 --reuse 20 --capacity 5e-324 --hit 0.5",
      "saved_flops_per_gb"),
-    # gamma * kappa overflows and the power underflows: inf * 0 is NaN.
-    ("marginal --steps 50 --step-cost 1e9 --reuse 20 --capacity 1 --model power "
-     "--kappa 1e308 --gamma 2", "marginal hit rate"),
     ("marginal --steps 50 --step-cost 1e308 --reuse 20 --capacity 0 --model power "
      "--kappa 1e308 --gamma 2", "marginal hit rate"),
     ("marginal --steps 50 --step-cost 1e300 --reuse 20 --capacity 0 --model exp "
@@ -320,6 +318,17 @@ def test_an_exponential_rate_beyond_float_range_is_a_usage_error_that_names_it(c
 def test_a_result_beyond_float_range_is_a_usage_error_that_names_it(capsys, argv, name):
     # Every flag is in range; the result the command derives from them is not.
     assert run(capsys, *argv.split()) == (2, "", f"error: {name} must be finite\n")
+
+
+@pytest.mark.parametrize("argv, slope", [
+    # gamma * kappa overflows, the power underflows, and the slope is 0.
+    ("--capacity 1 --kappa 1e308 --gamma 2", 0.0),
+    ("--capacity 1e-300 --kappa 1e308 --gamma 10", 1.9999997800000133e+231),
+])
+def test_a_power_law_slope_in_float_range_is_printed(capsys, argv, slope):
+    code, out, err = run(capsys, *"marginal --steps 50 --step-cost 1e9 --reuse 20 --model power"
+                         .split(), *argv.split())
+    assert (code, err) == (0, "") and json.loads(out)["marginal_flops_per_gb"] == slope
 
 
 def test_non_finite_result_is_usage_error_not_invalid_json(capsys, monkeypatch):
@@ -729,6 +738,8 @@ _REPLAY = [*_TRACES, "tradeoffs.sim"]
      0, _MODELS),
     (["expected-compute", "--reuse", "20", "--capacity", "1", "--model", "exp", "--beta", "0.04"],
      0, _MODELS),
+    # README's one exception: a constant hit rate interpolates through numpy.
+    (["expected-compute", "--reuse", "20", "--hit", "0.6"], 0, ["numpy", *_MODELS]),
     (["marginal", "--reuse", "20", "--capacity", "1", "--model", "power", "--kappa", "2",
       "--gamma", "0.5"], 0, _MODELS),
     (["frontier", "--samples", "samples.csv", "--quality", "0.9", "--budget", "1.4e10"],
@@ -741,8 +752,8 @@ _REPLAY = [*_TRACES, "tradeoffs.sim"]
       "--records", "recs.jsonl"], 0, _REPLAY),
     (["sweep", "--trace", "t.jsonl", "--capacities", "80MB,160MB,320MB", "--jobs", "2",
       "--out", "c.csv"], 0, ["multiprocessing", *_REPLAY]),
-], ids=["help", "version", "usage", "deficit", "expected-compute", "marginal", "frontier",
-        "fit-power", "fit-exp", "gen", "replay", "sweep"])
+], ids=["help", "version", "usage", "deficit", "expected-compute", "expected-compute-hit",
+        "marginal", "frontier", "fit-power", "fit-exp", "gen", "replay", "sweep"])
 def test_a_launch_imports_only_what_its_command_runs(tmp_path, argv, code, modules):
     # Only a sweep imports multiprocessing, to count its workers, only gen
     # the trace float formatter, and none numpy.ma; the closed-form

@@ -192,8 +192,8 @@ _HUGE = CacheCostParams(10**300, 10**300, 10**300, 0.08)  # every field in float
      "full_cost_flops"),
     (lambda: expected_compute(CacheCostParams(50, 1e300, 20, 0.08),
                               EmpiricalHitRate(((0.0, 0.5),)), 5e-324), "saved_flops_per_gb"),
-    # gamma * kappa overflows and the power underflows: inf * 0 is NaN.
-    (lambda: PowerLaw(1e308, 2.0).marginal_hit_rate(1.0), "marginal hit rate"),
+    # gamma * kappa overflows, and at capacity 0 the power is 1: so does the slope.
+    (lambda: PowerLaw(1e308, 2.0).marginal_hit_rate(0.0), "marginal hit rate"),
     (lambda: marginal_benefit(_HUGE, PowerLaw(1e308, 2.0), 0.0), "marginal hit rate"),
     (lambda: marginal_benefit(_HUGE, ExponentialSaturation(1.0, 1.0), 0.0),
      "marginal_flops_per_gb"),
@@ -204,6 +204,13 @@ def test_a_result_beyond_float_range_is_a_value_error_that_names_it(call, name):
     # Every field is in range; the result derived from them is not.
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         call()
+
+
+def test_a_power_law_slope_in_float_range_survives_an_overflowing_gamma_kappa():
+    # gamma * kappa is inf; the power scales kappa back into range first.
+    assert PowerLaw(1e308, 2.0).marginal_hit_rate(1.0) == 0.0  # inf * 0 would be NaN
+    slope = PowerLaw(1e308, 10.0).marginal_hit_rate(1e-300)
+    assert slope == pytest.approx(1e221 * (1.0 + 1e-8) ** -11, rel=1e-12)
 
 
 def test_results_are_computed_in_float():
@@ -239,7 +246,7 @@ def test_exponential_fit_rejects_entry_sizes_that_leave_no_finite_beta(entry_siz
 
 
 def test_frontier_empty_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(Infeasible):
         frontier_min_bandwidth([], 0.5, 1e9)
 
 

@@ -12,7 +12,7 @@ import tradeoffs.cache as cache_module
 import tradeoffs.cli as cli
 import tradeoffs.sim as sim
 import tradeoffs.workload as workload
-from _reference import ref_replay
+from _reference import ref_replay, ref_summary
 from tradeoffs import (
     RESOLUTIONS,
     CacheState,
@@ -363,17 +363,25 @@ def test_replay_matches_the_reference_and_a_replay_of_plain_rows(
     assert replay(trace, config) == report
 
 
+# A step at each resolution costs its own FLOPs, so the totals weigh the
+# resolutions apart.
+STEP_COSTS = {"720p": 1e9, "1080p": 2.5e9, "2k": 4e9}
+
+
 @pytest.mark.parametrize("insert_on_hit", [False, True])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_replay_of_the_default_entry_sizes_matches_the_reference(insert_on_hit, seed):
     trace = three_res_trace(seed)
-    default = SimConfig(capacity_bytes=0, insert_on_hit=insert_on_hit)
+    default = SimConfig(capacity_bytes=0, insert_on_hit=insert_on_hit,
+                        step_cost_by_resolution=STEP_COSTS)
     sizes = {res: len(default.stored_depths) * default.latent_bytes_by_resolution[res]
              for res in RESOLUTIONS}
     assert sizes == {"720p": E720, "1080p": 200_000_000, "2k": 350_000_000}
     rows = [(normalize(row).tolist(), res) for row, res in zip(trace.embeddings, trace.resolutions)]
+    capacities = (300_000_000, 700_000_000, 1_200_000_000, 2_500_000_000)  # below a 2k entry first
     outcomes = set()
-    for capacity in (300_000_000, 700_000_000, 1_200_000_000, 2_500_000_000):  # below a 2k entry first
+    curve = []
+    for capacity in capacities:
         report = replay(trace, default.with_capacity(capacity))
         got = [(r.outcome, r.depth, r.matched_id if r.outcome == "hit" else None, r.evicted)
                for r in report.per_request]
@@ -382,7 +390,14 @@ def test_replay_of_the_default_entry_sizes_matches_the_reference(insert_on_hit, 
         assert got == want
         outcomes |= {r.outcome for r in report.per_request}
         assert any(len(r.evicted) > 1 for r in report.per_request)  # a large entry's victims
+        # The accounting as well as the outcomes, to the bit.
+        summary = ref_summary(rows, capacity, sizes, STEP_COSTS, insert_on_hit=insert_on_hit)
+        assert report.summary.to_dict() == summary
+        curve.append(CurvePoint(capacity, summary["hit_rate"], summary["total_saved_flops"],
+                                summary["expected_cost_flops"]))
     assert outcomes == {"hit", "miss", "too_large"}
+    for jobs in (1, 2):
+        assert sweep(trace, default, capacities, jobs=jobs) == curve
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP Direction 2")
